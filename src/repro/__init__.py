@@ -28,12 +28,10 @@ Public surface:
 * metrics — :class:`EuclideanMetric`, :class:`ManhattanMetric`,
   :class:`ChebyshevMetric`, :class:`MinkowskiMetric`,
   :class:`HammingMetric`, :class:`AngularMetric`, :class:`MatrixMetric`,
-  :class:`GraphShortestPathMetric`, wrappers :class:`CountingOracle`,
-  :class:`CachedOracle`;
+  :class:`GraphShortestPathMetric`, the wrapper :class:`CountingOracle`;
 * the simulator — :class:`MPCCluster`, :class:`Limits`, partitioners,
   and the execution backends (:class:`SerialExecutor`,
-  :class:`ThreadedExecutor`, :class:`ProcessExecutor`,
-  :func:`get_executor`);
+  :class:`ProcessExecutor`, :func:`get_executor`);
 * observability — :class:`Observer`, :class:`ObserverHub` (as
   ``cluster.obs``), :class:`Recorder`, :class:`RunLog`, and the trace
   exporters in :mod:`repro.obs`;
@@ -101,7 +99,6 @@ from repro.exceptions import (
 from repro.faults import FaultPlan
 from repro.metric import (
     AngularMetric,
-    CachedOracle,
     ChebyshevMetric,
     CountingOracle,
     EditDistanceMetric,
@@ -122,7 +119,6 @@ from repro.mpc import (
     MPCCluster,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     adversarial_partition,
     block_partition,
     get_executor,
@@ -168,7 +164,6 @@ __all__ = [
     "MatrixMetric",
     "GraphShortestPathMetric",
     "CountingOracle",
-    "CachedOracle",
     # simulator
     "MPCCluster",
     "Limits",
@@ -176,7 +171,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "get_executor",
     # observability

@@ -23,8 +23,7 @@ Every solver accepts the same assembly keywords:
     Number of simulated MPC machines (default
     :data:`DEFAULT_MACHINES`, capped at ``n``).
 ``backend``
-    Compute backend: ``'serial'``, ``'thread'``, ``'process'``, or
-    ``'remote'`` (socket-connected worker agents, see
+    Compute backend: ``'serial'``, ``'process'``, or ``'remote'`` (socket-connected worker agents, see
     :mod:`repro.mpc.remote`) — or any
     :class:`~repro.mpc.executor.ExecutionBackend` instance (see
     :mod:`repro.mpc.executor`).

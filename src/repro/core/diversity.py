@@ -145,7 +145,8 @@ def mpc_diversity(
     round0 = cluster.round_no
 
     with cluster.obs.span("div/run", k=k, epsilon=epsilon):
-        Q, r = mpc_diversity_coreset(cluster, k, warm_start=warm_start)
+        coreset = mpc_diversity_coreset(cluster, k, warm_start=warm_start)
+        Q, r = coreset.ids, coreset.value
         if r <= 0.0:
             # optimum is 0 (≥ k duplicate points); any k-subset is optimal
             return DiversityResult(

@@ -138,7 +138,8 @@ def mpc_kcenter(
     round0 = cluster.round_no
 
     with cluster.obs.span("kcenter/run", k=k, epsilon=epsilon):
-        Q, r = mpc_kcenter_coreset(cluster, k, warm_start=warm_start)
+        coreset = mpc_kcenter_coreset(cluster, k, warm_start=warm_start)
+        Q, r = coreset.ids, coreset.value
         if r <= 0.0:
             # Q already covers everything at radius 0: optimal.
             return ClusteringResult(

@@ -26,7 +26,7 @@ from repro.metric.hamming import HammingMetric
 from repro.metric.haversine import HaversineMetric
 from repro.metric.lp import ChebyshevMetric, ManhattanMetric, MinkowskiMetric
 from repro.metric.matrix_metric import MatrixMetric
-from repro.metric.oracle import CachedOracle, CountingOracle
+from repro.metric.oracle import CountingOracle
 from repro.metric.points import PointSet
 
 __all__ = [
@@ -43,5 +43,4 @@ __all__ = [
     "MatrixMetric",
     "GraphShortestPathMetric",
     "CountingOracle",
-    "CachedOracle",
 ]

@@ -1,15 +1,12 @@
 """Execution backends for per-machine local computation.
 
 Within an MPC round, machines compute independently — the simulator can
-therefore fan the per-machine work out to an execution backend.  Four
+therefore fan the per-machine work out to an execution backend.  Three
 are provided, all implementing the :class:`ExecutionBackend` protocol
-(the fourth, the multi-host :class:`~repro.mpc.remote.RemoteExecutor`,
+(the third, the multi-host :class:`~repro.mpc.remote.RemoteExecutor`,
 lives in :mod:`repro.mpc.remote`):
 
 * :class:`SerialExecutor` — one task after another (the default);
-* :class:`ThreadedExecutor` — a shared thread pool; the heavy kernels
-  are numpy calls that release the GIL, so threads overlap them with
-  zero marshalling cost;
 * :class:`ProcessExecutor` — real OS processes, forked per batch, for
   metrics whose kernels hold the GIL (edit distance, graph search,
   python callables) or very large instances.  The point matrix is
@@ -17,16 +14,22 @@ lives in :mod:`repro.mpc.remote`):
   :mod:`repro.mpc.shm`) so workers read it without pickling a byte of
   point data; only the small per-machine results travel back.
 
+The two parallel backends differ only in transport.  Everything else is
+defined once, here: the strided-chunk retry ladder
+(:meth:`_ChunkedExecutor._run_ladder`), the per-machine packer
+(:func:`pack_machine`) and the driver-side replay
+(:func:`replay_packed`).
+
 Determinism is preserved by construction on every backend: each machine
 draws only from its *own* RNG stream inside its own task, so the
-schedule cannot change any stream's sequence.  For processes, the
-worker additionally returns the machine's post-task RNG state and the
+schedule cannot change any stream's sequence.  A parallel worker
+additionally returns the machine's post-task RNG state and the
 distance-oracle counter deltas, which the driver replays — serial,
-threaded, and process runs are bit-identical, including the
+process and remote runs are bit-identical, including the
 :class:`~repro.metric.oracle.CountingOracle` ledger
 (``tests/test_mpc_executor.py`` asserts it).
 
-The process-backend task contract is the MPC local-computation contract
+The parallel task contract is the MPC local-computation contract
 sharpened one notch: a task may read anything, but the only *writes*
 that survive are its return value and its machine's RNG stream.  All
 callbacks in :mod:`repro.core` obey this (they communicate results via
@@ -41,10 +44,9 @@ import sys
 import time
 import traceback
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple, TypeVar, runtime_checkable
 
-from repro.mpc.shm import SharedArray, share_metric_points
+from repro.mpc.shm import SharedArray, _unwrap, share_metric_points
 from repro.obs.events import ExecSpanRecord, FaultEvent
 from repro.obs.logging import get_logger
 
@@ -111,82 +113,204 @@ class SerialExecutor:
         pass
 
 
-class ThreadedExecutor:
-    """Fan per-machine tasks out to a shared thread pool.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to the machine count passed per call (capped
-        at 32).
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure(self, count: int) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self.max_workers or min(32, max(1, count))
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-        return self._pool
-
-    def map_indexed(self, fn: Callable[[int], T], count: int) -> List[T]:
-        """Evaluate ``fn(i)`` for ``i in range(count)`` concurrently,
-        returning results in index order (exceptions propagate)."""
-        if count <= 1:
-            return [fn(i) for i in range(count)]
-        pool = self._ensure(count)
-        return list(pool.map(fn, range(count)))
-
-    def effective_workers(self, count: int | None = None) -> int:
-        """Pool size a ``count``-task batch would actually run on.
-
-        Mirrors :meth:`_ensure`: an already-created pool keeps its
-        size, an explicit ``max_workers`` wins otherwise, and with
-        neither the pool is sized from the batch — so ``count`` is
-        required in that case rather than silently reported as 1.
-        """
-        if self._pool is not None:
-            return self._pool._max_workers
-        if self.max_workers:
-            return self.max_workers
-        if count is None:
-            raise ValueError(
-                "ThreadedExecutor sizes its pool from the first batch; "
-                "pass count (or construct with max_workers) to compute "
-                "effective_workers"
-            )
-        return min(32, max(1, count))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        self.shutdown()
-
-
 class _WorkerFailure(Exception):
-    """Forked workers failed beyond repair: a task raised a real
-    exception, or dead/undecodable chunks outlived the retry budget.
-    The message aggregates *every* failed chunk's reason."""
+    """A parallel backend cannot finish a batch: a task raised a real
+    exception, the transport ran out of workers, or lost chunks outlived
+    the retry budget.  The message aggregates *every* failed chunk's
+    reason; :attr:`lost` counts the chunks still lost when the budget
+    ran out."""
+
+    def __init__(self, reason: str, lost: int = 0) -> None:
+        super().__init__(reason)
+        self.lost = lost
 
 
 def _counting_layers(metric) -> list:
     """Every CountingOracle in the metric's wrapper chain (outermost first)."""
-    layers = []
-    seen = set()
-    while metric is not None and id(metric) not in seen:
-        seen.add(id(metric))
-        if hasattr(metric, "evaluations") and hasattr(metric, "calls"):
-            layers.append(metric)
-        metric = getattr(metric, "inner", None)
-    return layers
+    return [m for m in _unwrap(metric) if hasattr(m, "evaluations") and hasattr(m, "calls")]
 
 
-class ProcessExecutor:
+def pack_machine(fn, mach, counting: Sequence) -> tuple:
+    """Run ``fn(mach)`` in a worker and return ``(value, rng_state,
+    oracle_deltas)``: everything :func:`replay_packed` needs to make the
+    driver's state match a serial run."""
+    before = [(c.calls, c.evaluations) for c in counting]
+    value = fn(mach)
+    deltas = [
+        (c.calls - b_calls, c.evaluations - b_evals)
+        for c, (b_calls, b_evals) in zip(counting, before)
+    ]
+    return value, mach.rng.bit_generator.state, deltas
+
+
+def replay_packed(packed: Sequence, machines: Sequence, counting: Sequence) -> list:
+    """Apply the workers' :func:`pack_machine` results in the driver:
+    set each machine's RNG state, add the oracle counter deltas, and
+    return the bare values in machine order."""
+    values = []
+    for mach, (value, rng_state, deltas) in zip(machines, packed):
+        mach.rng.bit_generator.state = rng_state
+        for layer, (d_calls, d_evals) in zip(counting, deltas):
+            layer.calls += d_calls
+            layer.evaluations += d_evals
+        values.append(value)
+    return values
+
+
+def _chunk_span(name: str, worker: int, batch: int, attempt: int, chunk: Sequence,
+                t_start: float, ctx, parent_span_id) -> dict:
+    """The timed span record a worker ships back with a chunk's values
+    (fields of :class:`~repro.obs.events.ExecSpanRecord`)."""
+    span = {
+        "name": name, "worker": int(worker), "batch": int(batch),
+        "attempt": int(attempt), "chunk_size": len(chunk),
+        "first_index": int(chunk[0]) if len(chunk) else -1,
+        "os_pid": os.getpid(), "start_time": t_start,
+        "end_time": time.perf_counter(),
+    }
+    if ctx is not None:
+        span.update(trace_id=ctx.trace_id, span_id=ctx.span_id,
+                    parent_span_id=parent_span_id)
+    return span
+
+
+#: FaultEvent kind of each fault-plan action a backend can enact
+_INJECTED_KINDS = {"kill": "worker_kill", "corrupt": "payload_corrupt",
+                   "delay": "worker_delay", "drop": "connection_drop"}
+
+
+class _ChunkedExecutor:
+    """What the parallel backends share: the recovery counters, fault
+    reporting, and the strided-chunk retry ladder.
+
+    A subclass supplies only its transport, ``_run_wave``; what it
+    records when lost chunks run again, ``_note_retry``; and its extra
+    ``recovery_stats()`` keys, ``_pool_stats``.  See
+    ``docs/fault_tolerance.md`` for the ladder as a whole.
+    """
+
+    #: ``FaultEvent.layer`` of this backend's injections and recoveries
+    fault_layer = "executor"
+
+    def __init__(self, faults, chunk_retries: int) -> None:
+        if chunk_retries < 0:
+            raise ValueError(f"chunk_retries must be >= 0, got {chunk_retries}")
+        self.faults = faults
+        self.chunk_retries = int(chunk_retries)
+        #: per-batch degradation reasons (fallbacks taken and why)
+        self.degradations: List[str] = []
+        # recovery / injection counters (see recovery_stats())
+        self.faults_injected = 0
+        self.chunk_retries_used = 0
+        self.serial_fallbacks = 0
+        self._batch_no = 0
+        self._cluster_ref: Optional[weakref.ref] = None
+
+    def set_fault_plan(self, faults) -> None:
+        """Install (or clear, with ``None``) the fault plan."""
+        self.faults = faults
+
+    def _cluster(self):
+        return self._cluster_ref() if self._cluster_ref is not None else None
+
+    def recovery_stats(self) -> dict:
+        """Injection/recovery counters, for bench artifacts and the
+        service's job payloads."""
+        return {
+            "faults_injected": self.faults_injected,
+            "chunk_retries": self.chunk_retries_used,
+            "serial_fallbacks": self.serial_fallbacks,
+            "degradations": list(self.degradations),
+            **self._pool_stats(),
+        }
+
+    def _emit_fault(self, kind: str, injected: bool, target: str = "",
+                    attempt: int = 0, detail: str = "") -> None:
+        """Report a fault/recovery to the bound cluster's observers."""
+        cluster = self._cluster()
+        # bind() runs from the cluster constructor, before the hub
+        # exists — events emitted that early are log-only
+        obs = getattr(cluster, "obs", None)
+        if obs is None:
+            return
+        obs.emit_fault(
+            FaultEvent(
+                layer=self.fault_layer, kind=kind, injected=injected,
+                round_no=getattr(cluster, "round_no", -1), target=target,
+                attempt=attempt, detail=detail,
+            )
+        )
+
+    def _note_injection(self, action: str, target: str, worker,
+                        batch_no: int, attempt: int) -> None:
+        """Record a fault the plan injects into one chunk's dispatch."""
+        self.faults_injected += 1
+        kind = _INJECTED_KINDS[action]
+        self._emit_fault(kind, injected=True, target=target,
+                         attempt=attempt, detail=f"batch {batch_no}")
+        _log.info(
+            f"{self.fault_layer} fault injected",
+            extra={"kind": kind, "worker": worker,
+                   "batch": batch_no, "attempt": attempt},
+        )
+
+    def _run_ladder(self, job, count: int, workers: int) -> list:
+        """Run ``count`` tasks as ``workers`` strided chunks, in waves.
+
+        Each wave hands the pending ``(chunk_no, indices)`` pairs and
+        the opaque ``job`` to ``_run_wave``, which returns one
+        ``(status, payload)`` per chunk: ``("ok", values)``, ``("fatal",
+        reason)`` for a task that raised, or ``("lost", reason)`` for a
+        chunk whose worker died, went silent or shipped garbage — or
+        ``None`` when no worker is left to run on.  Lost chunks run
+        again alone — healthy chunks' results are kept — up to
+        :attr:`chunk_retries` times.  A real exception aborts at once:
+        it is deterministic, and the caller's fallback re-run will
+        reproduce it with a full traceback.  :class:`_WorkerFailure`
+        messages carry *every* failed chunk's reason, not just the
+        first.
+        """
+        self._batch_no += 1
+        batch_no = self._batch_no
+        chunks = [list(range(w, count, workers)) for w in range(workers)]
+        pending = [(w, chunk) for w, chunk in enumerate(chunks) if chunk]
+        results: list = [None] * count
+        earlier_reasons: List[str] = []
+        attempt = 0
+        while True:
+            outcomes = self._run_wave(job, pending, batch_no, attempt)
+            if outcomes is None:
+                raise _WorkerFailure("; ".join(earlier_reasons))
+            fatal: List[str] = []
+            retryable: List[Tuple[int, List[int]]] = []
+            reasons: List[str] = []
+            for (chunk_no, chunk), (status, payload) in zip(pending, outcomes):
+                if status == "ok":
+                    for i, value in zip(chunk, payload):
+                        results[i] = value
+                elif status == "fatal":
+                    fatal.append(str(payload))
+                else:  # "lost"
+                    reasons.append(str(payload))
+                    retryable.append((chunk_no, chunk))
+            if fatal:
+                raise _WorkerFailure("; ".join(fatal + reasons))
+            if not retryable:
+                return results
+            if attempt >= self.chunk_retries:
+                raise _WorkerFailure(
+                    "; ".join(earlier_reasons + reasons)
+                    + f" (chunk retry budget {self.chunk_retries} exhausted)",
+                    lost=len(retryable),
+                )
+            earlier_reasons.extend(reasons)
+            self.chunk_retries_used += len(retryable)
+            attempt += 1
+            self._note_retry(retryable, reasons, batch_no, attempt)
+            pending = retryable
+
+
+class ProcessExecutor(_ChunkedExecutor):
     """Fork real OS processes for per-machine local work.
 
     Workers are forked per batch: each inherits a consistent snapshot of
@@ -242,22 +366,11 @@ class ProcessExecutor:
         self.max_workers = max_workers
         self.fallback_reason: Optional[str] = None
         self._shared: List[SharedArray] = []
-        if chunk_retries < 0:
-            raise ValueError(f"chunk_retries must be >= 0, got {chunk_retries}")
-        self.faults = faults
-        self.chunk_retries = chunk_retries
-        #: per-batch degradation reasons (serial re-runs taken and why)
-        self.degradations: List[str] = []
-        # recovery / injection counters (see recovery_stats())
-        self.faults_injected = 0
-        self.chunk_retries_used = 0
-        self.serial_fallbacks = 0
+        super().__init__(faults, chunk_retries)
         #: worker slots that died permanently (outlived the chunk retry
         #: budget) — subtracted from the parallelism this executor
         #: *reports*, so bench artifacts record the surviving pool
         self.workers_lost = 0
-        self._batch_no = 0
-        self._cluster_ref: Optional[weakref.ref] = None
         if not hasattr(os, "fork") or sys.platform in ("win32", "emscripten"):
             self.fallback_reason = f"fork() unavailable on {sys.platform}"
         if max_workers is None:
@@ -275,35 +388,11 @@ class ProcessExecutor:
         if handle is not None:
             self._shared.append(handle)
 
-    def set_fault_plan(self, faults) -> None:
-        """Install (or clear, with ``None``) the executor-layer fault plan."""
-        self.faults = faults
-
-    def recovery_stats(self) -> dict:
-        """Injection/recovery counters, for bench artifacts and the
-        service's job payloads."""
+    def _pool_stats(self) -> dict:
         return {
-            "faults_injected": self.faults_injected,
-            "chunk_retries": self.chunk_retries_used,
-            "serial_fallbacks": self.serial_fallbacks,
-            "degradations": list(self.degradations),
             "workers_lost": self.workers_lost,
             "effective_workers": self.effective_workers(),
         }
-
-    def _emit_fault(self, kind: str, injected: bool, target: str = "",
-                    attempt: int = 0, detail: str = "") -> None:
-        """Report a fault/recovery to the bound cluster's observers."""
-        cluster = self._cluster_ref() if self._cluster_ref is not None else None
-        if cluster is None:
-            return
-        cluster.obs.emit_fault(
-            FaultEvent(
-                layer="executor", kind=kind, injected=injected,
-                round_no=cluster.round_no, target=target,
-                attempt=attempt, detail=detail,
-            )
-        )
 
     def shutdown(self) -> None:
         """Unlink shared segments (mappings stay valid; idempotent)."""
@@ -318,6 +407,10 @@ class ProcessExecutor:
 
     def _workers_for(self, count: int) -> int:
         return max(1, min(self.max_workers or (os.cpu_count() or 1), count))
+
+    def _forks(self, count: int) -> bool:
+        """Whether a ``count``-task batch goes to forked workers."""
+        return count > 1 and self.fallback_reason is None and self._workers_for(count) > 1
 
     def effective_workers(self, count: int | None = None) -> int:
         """Workers a ``count``-task batch can actually be trusted to.
@@ -339,55 +432,34 @@ class ProcessExecutor:
         """Evaluate ``fn(i)`` for ``i in range(count)`` across forked
         workers, in index order; falls back to serial when parallelism
         cannot help or cannot be trusted."""
-        if count <= 1 or self.fallback_reason is not None or self._workers_for(count) <= 1:
-            return [fn(i) for i in range(count)]
-        try:
-            return self._fork_map(fn, count)
-        except _WorkerFailure as exc:
-            # Workers never mutate driver state, so a clean re-run in the
-            # driver reproduces the exact result — or the real exception,
-            # with a real traceback.
-            self._record_serial_fallback(str(exc))
-            return [fn(i) for i in range(count)]
+        if self._forks(count):
+            try:
+                return self._fork_map(fn, count)
+            except _WorkerFailure as exc:
+                # Workers never mutate driver state, so a clean re-run in
+                # the driver reproduces the exact result — or the real
+                # exception, with a real traceback.
+                self._record_serial_fallback(str(exc))
+        return [fn(i) for i in range(count)]
 
     def map_machines(self, fn, machines: Sequence, metric=None) -> list:
         """Machine-aware dispatch with state synchronisation.
 
-        Each worker returns ``(value, rng_state, oracle_deltas)`` for
-        its machines; the driver replays the RNG states and counter
-        deltas so a process run is bit-identical to a serial one — both
-        the algorithmic results and the CountingOracle ledger.
+        Each worker returns :func:`pack_machine` results for its
+        machines; :func:`replay_packed` applies them in the driver, so a
+        process run is bit-identical to a serial one — both the
+        algorithmic results and the CountingOracle ledger.
         """
-        count = len(machines)
-        if count <= 1 or self.fallback_reason is not None or self._workers_for(count) <= 1:
-            return [fn(mach) for mach in machines]
-
-        counting = _counting_layers(metric)
-
-        def task(i: int):
-            mach = machines[i]
-            before = [(c.calls, c.evaluations) for c in counting]
-            value = fn(mach)
-            deltas = [
-                (c.calls - b_calls, c.evaluations - b_evals)
-                for c, (b_calls, b_evals) in zip(counting, before)
-            ]
-            return value, mach.rng.bit_generator.state, deltas
-
-        try:
-            packed = self._fork_map(task, count)
-        except _WorkerFailure as exc:
-            self._record_serial_fallback(str(exc))
-            return [fn(mach) for mach in machines]
-
-        values = []
-        for i, (value, rng_state, deltas) in enumerate(packed):
-            machines[i].rng.bit_generator.state = rng_state
-            for layer, (d_calls, d_evals) in zip(counting, deltas):
-                layer.calls += d_calls
-                layer.evaluations += d_evals
-            values.append(value)
-        return values
+        if self._forks(len(machines)):
+            counting = _counting_layers(metric)
+            try:
+                packed = self._fork_map(
+                    lambda i: pack_machine(fn, machines[i], counting), len(machines)
+                )
+                return replay_packed(packed, machines, counting)
+            except _WorkerFailure as exc:
+                self._record_serial_fallback(str(exc))
+        return [fn(mach) for mach in machines]
 
     def _record_serial_fallback(self, reason: str) -> None:
         """A batch degraded to a serial driver re-run; remember why."""
@@ -400,67 +472,29 @@ class ProcessExecutor:
         )
 
     def _fork_map(self, task: Callable[[int], T], count: int) -> List[T]:
-        """Fork one worker per strided index chunk; gather over pipes.
+        """Run the retry ladder with one forked worker per chunk."""
+        try:
+            return self._run_ladder(task, count, self._workers_for(count))
+        except _WorkerFailure as exc:
+            # these worker slots died permanently: report the surviving
+            # pool from here on (see effective_workers)
+            self.workers_lost = max(self.workers_lost, exc.lost)
+            raise
 
-        Chunks whose worker dies without reporting or ships garbage are
-        re-forked alone — healthy chunks' results are kept — up to
-        :attr:`chunk_retries` times.  A task that raises a real
-        exception aborts immediately: it is deterministic, and the
-        serial fallback will reproduce it with a full traceback.
-        :class:`_WorkerFailure` messages carry *every* failed chunk's
-        reason, not just the first.
-        """
-        workers = self._workers_for(count)
-        self._batch_no += 1
-        batch_no = self._batch_no
-        chunks = [list(range(w, count, workers)) for w in range(workers)]
-        pending = [(w, chunk) for w, chunk in enumerate(chunks) if chunk]
-        results: List[T] = [None] * count  # type: ignore[list-item]
-        earlier_reasons: list[str] = []
-        attempt = 0
-        while True:
-            outcomes = self._run_chunks(task, pending, batch_no, attempt)
-            fatal: list[str] = []
-            retryable: list[tuple[int, list[int]]] = []
-            reasons: list[str] = []
-            for (widx, chunk), (status, payload) in zip(pending, outcomes):
-                if status == "ok":
-                    for i, value in zip(chunk, payload):
-                        results[i] = value
-                elif status == "fatal":
-                    fatal.append(str(payload))
-                else:  # "lost": died without reporting / undecodable payload
-                    reasons.append(str(payload))
-                    retryable.append((widx, chunk))
-            if fatal:
-                raise _WorkerFailure("; ".join(fatal + reasons))
-            if not retryable:
-                return results
-            if attempt >= self.chunk_retries:
-                # these worker slots died permanently: report the
-                # surviving pool from here on (see effective_workers)
-                self.workers_lost = max(self.workers_lost, len(retryable))
-                raise _WorkerFailure(
-                    "; ".join(earlier_reasons + reasons)
-                    + f" (chunk retry budget {self.chunk_retries} exhausted)"
-                )
-            earlier_reasons.extend(reasons)
-            self.chunk_retries_used += len(retryable)
-            for (widx, chunk), reason in zip(retryable, reasons):
-                self._emit_fault(
-                    "chunk_retry", injected=False,
-                    target=f"worker {widx} chunk {chunk[:3]}",
-                    attempt=attempt + 1, detail=reason,
-                )
-                _log.warning(
-                    "executor chunk lost; re-forking",
-                    extra={"worker": widx, "batch": batch_no,
-                           "attempt": attempt + 1, "reason": reason},
-                )
-            pending = retryable
-            attempt += 1
+    def _note_retry(self, retryable, reasons, batch_no: int, attempt: int) -> None:
+        for (widx, chunk), reason in zip(retryable, reasons):
+            self._emit_fault(
+                "chunk_retry", injected=False,
+                target=f"worker {widx} chunk {chunk[:3]}",
+                attempt=attempt, detail=reason,
+            )
+            _log.warning(
+                "executor chunk lost; re-forking",
+                extra={"worker": widx, "batch": batch_no,
+                       "attempt": attempt, "reason": reason},
+            )
 
-    def _run_chunks(
+    def _run_wave(
         self,
         task: Callable[[int], T],
         pending: Sequence[Tuple[int, List[int]]],
@@ -485,7 +519,7 @@ class ProcessExecutor:
         :class:`~repro.obs.events.ExecSpanRecord`.
         """
         plan = self.faults
-        cluster = self._cluster_ref() if self._cluster_ref is not None else None
+        cluster = self._cluster()
         parent_ctx = cluster.obs.trace_parent() if cluster is not None else None
         procs: list[tuple[int, int, list[int]]] = []
         for widx, chunk in pending:
@@ -494,19 +528,8 @@ class ProcessExecutor:
             )
             action = plan.worker_fault(batch_no, widx, attempt) if plan else None
             if action is not None:
-                self.faults_injected += 1
-                kind = {"kill": "worker_kill", "corrupt": "payload_corrupt",
-                        "delay": "worker_delay"}[action]
-                self._emit_fault(
-                    kind, injected=True,
-                    target=f"worker {widx} chunk {chunk[:3]}",
-                    attempt=attempt, detail=f"batch {batch_no}",
-                )
-                _log.info(
-                    "executor fault injected",
-                    extra={"kind": kind, "worker": widx,
-                           "batch": batch_no, "attempt": attempt},
-                )
+                self._note_injection(action, f"worker {widx} chunk {chunk[:3]}",
+                                     widx, batch_no, attempt)
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:  # worker
@@ -521,21 +544,10 @@ class ProcessExecutor:
                 try:
                     t_start = time.perf_counter()
                     values = [task(i) for i in chunk]
-                    span = {
-                        "name": "exec/chunk",
-                        "worker": widx,
-                        "batch": batch_no,
-                        "attempt": attempt,
-                        "chunk_size": len(chunk),
-                        "first_index": chunk[0],
-                        "os_pid": os.getpid(),
-                        "start_time": t_start,
-                        "end_time": time.perf_counter(),
-                    }
-                    if chunk_ctx is not None:
-                        span["trace_id"] = chunk_ctx.trace_id
-                        span["span_id"] = chunk_ctx.span_id
-                        span["parent_span_id"] = chunk_ctx.parent_id
+                    span = _chunk_span(
+                        "exec/chunk", widx, batch_no, attempt, chunk, t_start,
+                        chunk_ctx, chunk_ctx.parent_id if chunk_ctx else None,
+                    )
                     payload = pickle.dumps(
                         (values, span), protocol=pickle.HIGHEST_PROTOCOL
                     )
@@ -584,13 +596,10 @@ class ProcessExecutor:
 
 
 #: canonical backend names accepted by the CLI and the solver facade
-BACKENDS = ("serial", "thread", "process", "remote")
+BACKENDS = ("serial", "process", "remote")
 
 _ALIASES = {
     "serial": "serial",
-    "thread": "thread",
-    "threaded": "thread",
-    "threads": "thread",
     "process": "process",
     "processes": "process",
     "fork": "process",
@@ -606,8 +615,8 @@ def get_executor(
 ):
     """Build an execution backend from its name.
 
-    ``backend`` is one of ``'serial'``, ``'thread'``/``'threaded'``,
-    ``'process'`` (alias ``'fork'``), or ``'remote'`` (alias
+    ``backend`` is one of ``'serial'``, ``'process'`` (aliases
+    ``'processes'``, ``'fork'``), or ``'remote'`` (alias
     ``'sockets'``); an :class:`ExecutionBackend` instance passes
     through unchanged.  ``workers`` carries remote worker addresses
     (``'host:port,host:port'`` or a list) for the remote backend —
@@ -622,8 +631,6 @@ def get_executor(
     name = _ALIASES.get(backend.lower())
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ThreadedExecutor(max_workers=max_workers)
     if name == "process":
         return ProcessExecutor(max_workers=max_workers)
     if name == "remote":

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    CoresetResult,
     EuclideanMetric,
     ManhattanMetric,
     MPCCluster,
@@ -20,7 +19,7 @@ from repro import (
     solve_kcenter,
     solve_ksupplier,
 )
-from repro.mpc.executor import ProcessExecutor, SerialExecutor, ThreadedExecutor
+from repro.mpc.executor import ProcessExecutor, SerialExecutor
 from repro.mpc.partition import get_partitioner
 
 M, SEED = 4, 11
@@ -62,7 +61,7 @@ class TestFacadeLegacyParity:
         assert res.radius == legacy.radius
         assert np.array_equal(np.sort(res.suppliers), np.sort(legacy.suppliers))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_backends_match_serial(self, pts, backend):
         serial = solve_kcenter(pts, 8, machines=M, seed=SEED)
         other = solve_kcenter(pts, 8, machines=M, seed=SEED, backend=backend)
@@ -101,7 +100,6 @@ class TestAssemblyHelpers:
 
     def test_make_executor(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadedExecutor)
         assert isinstance(make_executor("process"), ProcessExecutor)
         ex = SerialExecutor()
         assert make_executor(ex) is ex
@@ -119,15 +117,6 @@ class TestAssemblyHelpers:
 
 
 class TestCoresetResult:
-    def test_tuple_unpacking_back_compat(self, pts):
-        cluster = build_cluster(pts, machines=M, seed=SEED)
-        result = mpc_kcenter_coreset(cluster, 6)
-        Q, r = result  # the historical calling convention
-        assert isinstance(result, CoresetResult)
-        assert np.array_equal(Q, result.ids)
-        assert r == result.value
-        assert len(result) == 2
-
     def test_fields(self, pts):
         cluster = build_cluster(pts, machines=M, seed=SEED)
         result = mpc_kcenter_coreset(cluster, 6)
@@ -143,5 +132,4 @@ class TestCoresetResult:
         cluster = build_cluster(pts, machines=M, seed=SEED)
         result = mpc_diversity_coreset(cluster, 6)
         assert result.kind == "diversity"
-        ids, value = result
-        assert ids.size == 6 and value > 0
+        assert result.ids.size == 6 and result.value > 0

@@ -249,7 +249,7 @@ class TestCommands:
         )
         assert rc == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backend_output_identical(self, capsys, backend):
         """The printed solution table must not depend on the backend."""
         argv = [
@@ -266,6 +266,15 @@ class TestCommands:
         baseline = main(argv[:-2])  # default serial
         assert baseline == 0
         assert capsys.readouterr().out == out
+
+    def test_removed_thread_backend_rejected(self, capsys):
+        """The thread backend is gone; argparse names the valid ones."""
+        with pytest.raises(SystemExit):
+            main(["kcenter", "--n", "50", "--k", "3", "--backend", "thread"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        for name in ("serial", "process", "remote"):
+            assert repr(name) in err
 
 
 class TestMetricsOut:

@@ -1,10 +1,10 @@
-"""Tests for CountingOracle and CachedOracle wrappers."""
+"""Tests for the CountingOracle wrapper."""
 
 import numpy as np
 import pytest
 
 from repro.metric.euclidean import EuclideanMetric
-from repro.metric.oracle import CachedOracle, CountingOracle
+from repro.metric.oracle import CountingOracle
 
 
 @pytest.fixture
@@ -43,34 +43,3 @@ class TestCounting:
     def test_point_words_delegates(self, inner):
         assert CountingOracle(inner).point_words() == inner.point_words()
 
-
-class TestCached:
-    def test_hit_and_miss_counters(self, inner):
-        c = CachedOracle(inner)
-        c.distance(0, 1)
-        c.distance(0, 1)
-        c.distance(1, 0)  # symmetric key: also a hit
-        assert c.misses == 1 and c.hits == 2
-
-    def test_values_correct(self, inner):
-        c = CachedOracle(inner)
-        assert c.distance(3, 4) == pytest.approx(inner.distance(3, 4))
-        assert c.distance(4, 3) == pytest.approx(inner.distance(3, 4))
-
-    def test_capacity_cap(self, inner):
-        c = CachedOracle(inner, max_entries=1)
-        c.distance(0, 1)
-        c.distance(2, 3)  # over capacity: not stored
-        assert len(c._cache) == 1
-        c.distance(2, 3)
-        assert c.misses == 3  # second (2,3) call missed again
-
-    def test_matrix_calls_bypass_cache(self, inner):
-        c = CachedOracle(inner)
-        c.pairwise(np.arange(5), np.arange(5))
-        assert c.hits == 0 and c.misses == 0
-
-    def test_composition(self, inner):
-        both = CountingOracle(CachedOracle(inner))
-        both.pairwise(np.arange(3), np.arange(3))
-        assert both.evaluations == 9

@@ -1,5 +1,5 @@
-"""Tests for the local-work executors: threaded and process execution
-must be bit-for-bit drop-ins for serial — results, communication
+"""Tests for the local-work executors: process execution must be a
+bit-for-bit drop-in for serial — results, communication
 ledger, and oracle counters alike."""
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.mpc.executor import (
     ExecutionBackend,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     get_executor,
 )
 
@@ -24,38 +23,15 @@ class TestExecutorsDirect:
         out = SerialExecutor().map_indexed(lambda i: i * i, 5)
         assert out == [0, 1, 4, 9, 16]
 
-    def test_threaded_order_preserved(self):
-        ex = ThreadedExecutor(max_workers=4)
-        out = ex.map_indexed(lambda i: i * i, 16)
-        assert out == [i * i for i in range(16)]
-        ex.shutdown()
-
-    def test_threaded_single_task_inline(self):
-        ex = ThreadedExecutor()
-        assert ex.map_indexed(lambda i: i + 1, 1) == [1]
-        assert ex._pool is None  # no pool spun up for one task
-
-    def test_threaded_exception_propagates(self):
-        ex = ThreadedExecutor(max_workers=2)
-
-        def boom(i):
-            if i == 3:
-                raise RuntimeError("task 3 failed")
-            return i
-
-        with pytest.raises(RuntimeError, match="task 3"):
-            ex.map_indexed(boom, 8)
-        ex.shutdown()
-
     def test_shutdown_idempotent(self):
-        ex = ThreadedExecutor()
+        ex = ProcessExecutor(max_workers=2)
         ex.map_indexed(lambda i: i, 4)
         ex.shutdown()
         ex.shutdown()
 
 
 class TestBitIdenticalResults:
-    """Same seed + threaded executor == same seed + serial executor."""
+    """Same seed + process executor == same seed + serial executor."""
 
     @pytest.fixture
     def metric(self, rng):
@@ -63,7 +39,7 @@ class TestBitIdenticalResults:
 
     def run_both(self, metric, fn):
         out = []
-        for executor in (SerialExecutor(), ThreadedExecutor(max_workers=8)):
+        for executor in (SerialExecutor(), ProcessExecutor(max_workers=2)):
             cluster = MPCCluster(metric, 4, seed=7, executor=executor)
             out.append((fn(cluster), cluster))
         return out
@@ -161,23 +137,24 @@ class TestProcessExecutorDirect:
 
 class TestBackendProtocolAndFactory:
     def test_all_executors_satisfy_protocol(self):
-        for ex in (SerialExecutor(), ThreadedExecutor(), ProcessExecutor()):
+        for ex in (SerialExecutor(), ProcessExecutor()):
             assert isinstance(ex, ExecutionBackend)
 
     def test_factory_names_and_aliases(self):
         from repro.mpc.remote import RemoteExecutor
 
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread"), ThreadedExecutor)
-        assert isinstance(get_executor("threaded"), ThreadedExecutor)
         assert isinstance(get_executor("process"), ProcessExecutor)
         assert isinstance(get_executor("fork"), ProcessExecutor)
         assert isinstance(get_executor("remote"), RemoteExecutor)
         assert isinstance(get_executor("sockets"), RemoteExecutor)
-        assert set(BACKENDS) == {"serial", "thread", "process", "remote"}
+        assert set(BACKENDS) == {"serial", "process", "remote"}
+        for gone in ("thread", "threaded", "threads"):
+            with pytest.raises(ValueError, match="valid backends"):
+                get_executor(gone)
 
     def test_factory_passthrough_and_errors(self):
-        ex = ThreadedExecutor()
+        ex = SerialExecutor()
         assert get_executor(ex) is ex
         with pytest.raises(ValueError, match="unknown backend"):
             get_executor("gpu")
@@ -185,7 +162,6 @@ class TestBackendProtocolAndFactory:
             get_executor(42)
 
     def test_factory_forwards_max_workers(self):
-        assert get_executor("thread", max_workers=3).max_workers == 3
         assert get_executor("process", max_workers=3).max_workers == 3
 
     def test_unknown_backend_error_lists_valid_names(self):
@@ -228,28 +204,13 @@ class TestWorkerCountConfiguration:
         ex = ProcessExecutor(max_workers=8)
         assert ex.effective_workers(3) == min(3, ex.effective_workers())
 
-    def test_effective_workers_serial_and_thread(self):
+    def test_effective_workers_serial_and_process(self):
         assert SerialExecutor().effective_workers(16) == 1
-        assert ThreadedExecutor(max_workers=5).effective_workers(16) == 5
-        assert ThreadedExecutor().effective_workers(4) == 4
-
-    def test_thread_effective_workers_requires_count_when_unsized(self):
-        # without max_workers the pool is sized from the batch — the
-        # old code answered 1 here, understating the real parallelism
-        with pytest.raises(ValueError, match="pass count"):
-            ThreadedExecutor().effective_workers()
-        assert ThreadedExecutor(max_workers=3).effective_workers() == 3
-
-    def test_thread_effective_workers_reports_live_pool_size(self):
-        ex = ThreadedExecutor()
-        try:
-            assert ex.map_indexed(lambda i: i * i, 4) == [0, 1, 4, 9]
-            # the pool was sized by the first batch and is reused, so
-            # that size is the honest answer for any later batch
-            assert ex.effective_workers() == 4
-            assert ex.effective_workers(16) == 4
-        finally:
-            ex.shutdown()
+        ex = ProcessExecutor(max_workers=5)
+        if ex.fallback_reason:
+            pytest.skip(ex.fallback_reason)
+        assert ex.effective_workers(16) == 5
+        assert ex.effective_workers(4) == 4
 
     def test_fallback_reports_one_worker(self):
         ex = ProcessExecutor(max_workers=8)

@@ -138,7 +138,10 @@ class TestOrphanRecovery:
     def _submit_and_orphan(self, state, points):
         """Persist a job, then have a *separate process* claim it and
         die (os._exit) without finishing — a real worker crash."""
-        front = make_manager(state, role="frontend", lease_s=0.4).start()
+        # a long lease keeps the frontend's own orphan sweeper (tick
+        # max(0.5, lease_s / 3)) from recovering the ghost's 0.4 s lease
+        # before the test's explicit recover_now()
+        front = make_manager(state, role="frontend", lease_s=30).start()
         ds = front.datasets.register_points(points)
         job = front.submit(JobSpec(algorithm="kcenter", dataset=ds.id, k=5, seed=7))
         code = (

@@ -243,6 +243,16 @@ class TestJobsEndToEnd:
             client.submit(algorithm="kcenter", dataset="ds-missing", k=2)
         assert exc.value.status == 404
 
+    def test_removed_thread_backend_rejected(self, client, points):
+        ds = client.register_points(points)
+        with pytest.raises(ServiceError) as exc:
+            client.submit(algorithm="kcenter", dataset=ds["id"], k=3,
+                          backend="thread")
+        assert exc.value.status == 400
+        assert "unknown backend 'thread'" in str(exc.value)
+        for name in ("serial", "process", "remote"):
+            assert name in str(exc.value)
+
     def test_unknown_job_404(self, client):
         with pytest.raises(ServiceError) as exc:
             client.job("job-999999")

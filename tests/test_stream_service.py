@@ -229,5 +229,5 @@ class TestDriftDeterminism:
 
     def test_drift_reports_byte_identical_across_backends(self, batches):
         serial = self._run_chain(batches, "serial")
-        thread = self._run_chain(batches, "thread")
-        assert serial == thread
+        process = self._run_chain(batches, "process")
+        assert serial == process

@@ -122,14 +122,14 @@ class TestWarmKCenter:
         k = 5
         combined = np.vstack([base_points, delta_points])
         results = {}
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             ws = _warm_from_cold(base_points, k, seed=3, machines=4)
             res = solve_kcenter(
                 combined, k=k, seed=3, machines=4,
                 backend=backend, warm_start=ws,
             )
             results[backend] = (res.centers.tolist(), res.radius, res.tau)
-        assert results["serial"] == results["thread"]
+        assert results["serial"] == results["process"]
 
 
 class TestWarmDiversity:
