@@ -31,5 +31,8 @@ class AngularMetric(Metric):
 
     def _pairwise_kernel(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         cos = self._unit[I] @ self._unit[J].T
+        # A blocked matmul can round u·u to 1 − ε, whose arccos is ~1e-8
+        # rather than 0; pin identical ids so d(x, x) = 0 exactly.
+        cos[I[:, None] == J[None, :]] = 1.0
         np.clip(cos, -1.0, 1.0, out=cos)
         return np.arccos(cos)

@@ -52,6 +52,12 @@ class TestAngular:
         # arccos amplifies float error near cos = ±1; 1e-6 absolute is fine
         assert np.allclose(m1.pairwise(I, I), m2.pairwise(I, I), atol=1e-6)
 
+    def test_same_id_is_exactly_zero_in_batch(self):
+        rng = np.random.default_rng(0)
+        m = AngularMetric(rng.normal(scale=2.0, size=(24, 3)) + 5.0)
+        for i in range(24):
+            assert np.all(m.pairwise([i], [i, i, (i + 1) % 24])[:, :2] == 0.0)
+
 
 class TestMatrix:
     def test_roundtrip(self):
