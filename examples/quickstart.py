@@ -4,8 +4,8 @@ GMM baseline.
 
 The one-call facade (``solve_kcenter``) assembles the metric, the
 machine partition, and the execution backend internally; pass
-``backend="process"`` to fan the per-machine work out to forked
-workers (same results bit-for-bit, same seed).
+``backend="process"`` to fan the per-machine work out to local worker
+processes (same results bit-for-bit, same seed).
 
 Run:  python examples/quickstart.py
 """

@@ -159,7 +159,7 @@ def build_cluster(
 
     ``trace`` installs a :class:`~repro.obs.tracing.TraceContext` on
     the cluster's observer hub: phase spans (and, on the process
-    backend, forked chunk spans) get deterministic trace/span ids under
+    backend, its agents' chunk spans) get deterministic trace/span ids under
     it.  Defaults to the ambient context
     (:func:`~repro.obs.tracing.current_trace`), so a cluster built
     inside ``with use_trace(ctx):`` joins that request's trace without

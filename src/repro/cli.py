@@ -90,7 +90,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         choices=list(BACKENDS),
         default="serial",
         help="compute backend for the per-machine work; 'process' "
-        "keeps the point matrix in shared memory, 'remote' dispatches "
+        "runs it on persistent local worker agents, 'remote' dispatches "
         "to socket-connected worker agents (--workers) — every backend "
         "is bit-identical to 'serial' for any fixed seed",
     )

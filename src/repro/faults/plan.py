@@ -3,8 +3,8 @@
 A :class:`FaultPlan` decides — as a *pure function* of its seed and the
 fault coordinates — which faults fire where.  Purity is the load-bearing
 property: the same plan object (or a reconstruction from its
-:meth:`to_dict`) gives the same answers in the driver, in a forked
-worker, and in a re-run, so
+:meth:`to_dict`) gives the same answers in the driver, in a worker
+agent, and in a re-run, so
 
 * the driver can emit an observability event for a fault that will
   actually be injected inside a worker process it never hears from
@@ -20,7 +20,7 @@ and interpreter runs (unlike ``hash()``, which is salted).
 Four layers of fault coordinates:
 
 executor
-    ``(batch_no, worker_index)`` — one forked chunk worker.  Actions:
+    ``(batch_no, worker_index)`` — one local agent's chunk.  Actions:
     ``kill`` (``os._exit`` before reporting), ``corrupt`` (garbage
     payload), ``delay`` (sleep, then proceed normally).  A fault keeps
     firing for the first :attr:`worker_fault_attempts` executions of
@@ -85,7 +85,7 @@ class FaultPlan:
 
     seed: int = 0
 
-    # -- executor layer (forked chunk workers) --
+    # -- executor layer (the process backend's local agents) --
     #: probability a chunk worker is killed before reporting
     worker_kill: float = 0.0
     #: probability a chunk worker ships an undecodable payload

@@ -182,7 +182,7 @@ class MPCCluster:
 
         The plan is a pure function, so the driver can emit the full
         injection/recovery record here — even when the task itself runs
-        inside a forked worker the driver never hears from again — and
+        inside a worker agent the driver never hears from again — and
         the retry loop can live *inside* the task, where it works on
         every backend.
         """

@@ -7,17 +7,16 @@ are provided, all implementing the :class:`ExecutionBackend` protocol
 lives in :mod:`repro.mpc.remote`):
 
 * :class:`SerialExecutor` — one task after another (the default);
-* :class:`ProcessExecutor` — real OS processes, forked per batch, for
-  metrics whose kernels hold the GIL (edit distance, graph search,
-  python callables) or very large instances.  The point matrix is
-  migrated into :mod:`multiprocessing.shared_memory` (see
-  :mod:`repro.mpc.shm`) so workers read it without pickling a byte of
-  point data; only the small per-machine results travel back.
+* :class:`ProcessExecutor` — persistent local worker agents (real OS
+  processes) for metrics whose kernels hold the GIL (edit distance,
+  graph search, python callables) or very large instances.
 
-The two parallel backends differ only in transport.  Everything else is
-defined once, here: the strided-chunk retry ladder
-(:meth:`_ChunkedExecutor._run_ladder`), the per-machine packer
-(:func:`pack_machine`) and the driver-side replay
+The two parallel backends differ only in where their
+:class:`~repro.mpc.remote.WorkerAgent` processes come from.  Everything
+else is defined once, here: the strided-chunk retry ladder
+(:meth:`_ChunkedExecutor._run_ladder`), the socket dispatch of a wave
+(:meth:`_ChunkedExecutor._run_wave`, over :mod:`repro.mpc.wire`), the
+per-machine packer (:func:`pack_machine`) and the driver-side replay
 (:func:`replay_packed`).
 
 Determinism is preserved by construction on every backend: each machine
@@ -40,13 +39,26 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
+import socket
 import sys
+import threading
 import time
 import traceback
 import weakref
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple, TypeVar, runtime_checkable
 
-from repro.mpc.shm import SharedArray, _unwrap, share_metric_points
+import numpy as np
+
+from repro.mpc.wire import (
+    ProtocolError,
+    _unwrap,
+    dataset_fingerprint,
+    dumps_task,
+    find_points_array,
+    recv_msg,
+    send_msg,
+)
 from repro.obs.events import ExecSpanRecord, FaultEvent
 from repro.obs.logging import get_logger
 
@@ -104,6 +116,10 @@ class SerialExecutor:
     def map_indexed(self, fn: Callable[[int], T], count: int) -> List[T]:
         """Evaluate ``fn(i)`` for ``i in range(count)``, in order."""
         return [fn(i) for i in range(count)]
+
+    def map_machines(self, fn, machines: Sequence, metric=None) -> list:
+        """Evaluate ``fn(mach)`` for every machine, in order."""
+        return [fn(mach) for mach in machines]
 
     def effective_workers(self, count: int | None = None) -> int:
         """Degree of parallelism actually used (always 1)."""
@@ -179,18 +195,59 @@ _INJECTED_KINDS = {"kill": "worker_kill", "corrupt": "payload_corrupt",
                    "delay": "worker_delay", "drop": "connection_drop"}
 
 
+class _AgentState:
+    """Driver-side record of one worker agent.  A local agent carries its
+    pid and is labelled by its slot, not by its (ephemeral) port."""
+
+    __slots__ = ("addr", "label", "pid", "alive", "reason", "datasets", "dispatched", "lost")
+
+    def __init__(self, addr: Tuple[str, int], label: str = "", pid: int = 0) -> None:
+        self.addr = addr
+        self.label = label or f"{addr[0]}:{addr[1]}"
+        self.pid = pid
+        self.alive = True
+        self.reason = ""
+        self.datasets: set = set()
+        self.dispatched = 0
+        self.lost = 0
+
+    def mark_dead(self, reason: str) -> None:
+        """Record the agent as dead; a local agent is killed and reaped."""
+        self.alive = False
+        self.reason = reason
+        pid, self.pid = self.pid, 0
+        if pid:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+
+    def status(self) -> dict:
+        return {
+            "alive": self.alive,
+            "reason": self.reason,
+            "dispatched": self.dispatched,
+            "lost": self.lost,
+        }
+
+
 class _ChunkedExecutor:
     """What the parallel backends share: the recovery counters, fault
-    reporting, and the strided-chunk retry ladder.
+    reporting, the strided-chunk retry ladder and the socket dispatch.
 
-    A subclass supplies only its transport, ``_run_wave``; what it
-    records when lost chunks run again, ``_note_retry``; and its extra
+    A subclass supplies a wave's agents, ``_wave_workers``; the fault
+    its plan injects, ``_planned_fault``; what it records when lost
+    chunks run again, ``_note_retry``; where a batch goes when the
+    agents cannot run it, ``_try_agents``/``_fallback``; and its extra
     ``recovery_stats()`` keys, ``_pool_stats``.  See
     ``docs/fault_tolerance.md`` for the ladder as a whole.
     """
 
     #: ``FaultEvent.layer`` of this backend's injections and recoveries
     fault_layer = "executor"
+    #: name of the chunk spans the agents stamp
+    span_name = "exec/chunk"
 
     def __init__(self, faults, chunk_retries: int) -> None:
         if chunk_retries < 0:
@@ -203,8 +260,24 @@ class _ChunkedExecutor:
         self.faults_injected = 0
         self.chunk_retries_used = 0
         self.serial_fallbacks = 0
+        # dispatch counters (reported by the remote backend)
+        self.dispatched_chunks = 0
+        self.duplicate_results = 0
+        self.datasets_shipped = 0
         self._batch_no = 0
         self._cluster_ref: Optional[weakref.ref] = None
+        self._workers: List[_AgentState] = []
+        #: ``(fingerprint, array)`` of the bound cluster's point matrix,
+        #: located on the first wave after each bind
+        self._dataset: Optional[Tuple[str, object]] = None
+        self._dataset_located = False
+        self._lock = threading.Lock()
+
+    def bind(self, cluster) -> None:
+        """Adopt a cluster: keep a weak back-reference for
+        fault/recovery observability and the point matrix."""
+        self._cluster_ref = weakref.ref(cluster)
+        self._dataset_located = False
 
     def set_fault_plan(self, faults) -> None:
         """Install (or clear, with ``None``) the fault plan."""
@@ -309,51 +382,337 @@ class _ChunkedExecutor:
             self._note_retry(retryable, reasons, batch_no, attempt)
             pending = retryable
 
+    # -- the ExecutionBackend surface -----------------------------------------
+
+    def map_indexed(self, fn: Callable[[int], T], count: int) -> List[T]:
+        """Evaluate ``fn(i)`` for ``i in range(count)`` on the agents, in
+        index order; a batch they cannot run or finish goes to the
+        backend's fallback, which reproduces it exactly."""
+        values = self._try_agents("indexed", fn, range(count))
+        return self._fallback().map_indexed(fn, count) if values is None else values
+
+    def map_machines(self, fn, machines: Sequence, metric=None) -> list:
+        """Machine-aware dispatch with state synchronisation: the agents
+        return :func:`pack_machine` results and :func:`replay_packed`
+        applies them in the driver, so a parallel run is bit-identical
+        to a serial one, CountingOracle ledger included."""
+        packed = self._try_agents("machines", fn, machines)
+        if packed is None:
+            return self._fallback().map_machines(fn, machines, metric=metric)
+        return replay_packed(packed, machines, _counting_layers(metric))
+
+    def _record_fallback(self, kind: str, reason: str) -> None:
+        """A batch left the agents for the backend's fallback
+        (``"serial_fallback"`` or ``"local_fallback"``); remember why."""
+        self.degradations.append(reason)
+        if kind == "serial_fallback":
+            self.serial_fallbacks += 1
+        else:
+            self.local_fallbacks += 1
+        self._emit_fault(kind, injected=False, detail=reason)
+        _log.warning(f"{self.fault_layer} batch degraded to {kind.split('_')[0]} execution",
+                     extra={"reason": reason})
+
+    # -- socket dispatch ------------------------------------------------------
+
+    def _mark_dead(self, worker: _AgentState, reason: str) -> None:
+        worker.mark_dead(reason)
+
+    def _connection_lost(self, worker: _AgentState, exc: Exception) -> str:
+        """Loss reason for a chunk whose connection broke; the agent may
+        well still be healthy."""
+        return f"worker {worker.label} connection lost: {exc}"
+
+    def _bound_dataset(self) -> Optional[Tuple[str, object]]:
+        if not self._dataset_located:
+            self._dataset_located = True
+            cluster = self._cluster()
+            array = find_points_array(cluster.metric) if cluster is not None else None
+            self._dataset = None if array is None else (dataset_fingerprint(array), array)
+        return self._dataset
+
+    def _ship_dataset(self, worker: _AgentState, dataset: Tuple[str, object]) -> None:
+        """Ship the point matrix to one agent (once per fingerprint)."""
+        fingerprint, array = dataset
+        with socket.create_connection(
+            worker.addr, timeout=self.connect_timeout_s
+        ) as conn:
+            conn.settimeout(self.chunk_timeout_s)
+            send_msg(conn, {
+                "op": "put_dataset",
+                "fingerprint": fingerprint,
+                "shape": tuple(array.shape),
+                "dtype": str(array.dtype),
+                "blob": np.ascontiguousarray(array).tobytes(),
+            })
+            reply = recv_msg(conn)
+        if not reply.get("ok"):  # pragma: no cover - protocol guard
+            raise ProtocolError(f"put_dataset refused: {reply!r}")
+        worker.datasets.add(fingerprint)
+        self.datasets_shipped += 1
+
+    def _store_result(self, results: dict, chunk_no: int, values, lock) -> bool:
+        """First-writer-wins slot fill; duplicates are counted, not
+        applied (a re-dispatched chunk's late original result)."""
+        with lock:
+            if chunk_no in results:
+                self.duplicate_results += 1
+                self._emit_fault(
+                    "duplicate_result", injected=False,
+                    target=f"chunk {chunk_no}",
+                    detail="late result after lease forfeit; first writer kept",
+                )
+                return False
+            results[chunk_no] = values
+            return True
+
+    def _dispatch_chunk(
+        self,
+        worker: _AgentState,
+        request: dict,
+        results: dict,
+        chunk_no: int,
+        lock,
+    ) -> Tuple[str, object]:
+        """Send one chunk to one agent under a heartbeated lease.
+
+        Returns ``("ok", span_dict_or_None)``, ``("fatal", tb_text)``,
+        or ``("lost", reason)``.  Connect failures and lease expiry mark
+        the agent dead; a broken connection means what
+        :meth:`_connection_lost` says; a corrupt payload only loses the
+        chunk.
+        """
+        label = worker.label
+        chunk_head = request["chunk"][:3]
+        try:
+            sock = socket.create_connection(worker.addr, timeout=self.connect_timeout_s)
+        except OSError as exc:
+            self._mark_dead(worker, f"connect failed: {exc}")
+            return ("lost", f"worker {label} unreachable: {exc} (chunk {chunk_head}…)")
+        worker.dispatched += 1
+        self.dispatched_chunks += 1
+        deadline = (None if self.chunk_timeout_s is None
+                    else time.monotonic() + self.chunk_timeout_s)
+        try:
+            sock.settimeout(self.lease_s)
+            send_msg(sock, request)
+            while True:
+                if deadline is not None and time.monotonic() > deadline:
+                    worker.lost += 1
+                    self._mark_dead(worker, "chunk deadline exceeded")
+                    self._abandon(sock, results, chunk_no, label)
+                    return ("lost",
+                            f"worker {label} exceeded the {self.chunk_timeout_s}s "
+                            f"chunk deadline (chunk {chunk_head}…)")
+                try:
+                    reply = recv_msg(sock)
+                except socket.timeout:
+                    worker.lost += 1
+                    self._mark_dead(worker, f"lease expired ({self.lease_s}s without a heartbeat)")
+                    self._abandon(sock, results, chunk_no, label)
+                    return ("lost",
+                            f"worker {label} lease expired after {self.lease_s}s "
+                            f"(chunk {chunk_head}…)")
+                if "hb" in reply:
+                    continue  # lease renewed
+                break
+        except (OSError, ProtocolError) as exc:
+            worker.lost += 1
+            sock.close()
+            return ("lost", f"{self._connection_lost(worker, exc)} (chunk {chunk_head}…)")
+        sock.close()
+        if reply.get("ok"):
+            try:
+                values, span = pickle.loads(reply["blob"])
+            except Exception:
+                worker.lost += 1
+                return ("lost",
+                        f"worker {label} returned an undecodable payload "
+                        f"(chunk {chunk_head}…)")
+            stored = self._store_result(results, chunk_no, values, lock)
+            return ("ok", span if stored else None)
+        if "need_dataset" in reply:
+            return ("need_dataset", reply["need_dataset"])
+        return ("fatal", str(reply.get("fatal", "worker reported an unknown error")))
+
+    def _abandon(self, sock: socket.socket, results: dict, chunk_no: int, label: str) -> None:
+        """Keep listening on a forfeited chunk's socket in the
+        background: if the slow worker eventually answers, the late
+        result hits the first-writer-wins gate instead of a closed
+        port (and is counted as a duplicate)."""
+        lock = self._lock
+
+        def reap() -> None:
+            try:
+                sock.settimeout(self.chunk_timeout_s)
+                while True:
+                    reply = recv_msg(sock)
+                    if "hb" in reply:
+                        continue
+                    if reply.get("ok"):
+                        values, _span = pickle.loads(reply["blob"])
+                        self._store_result(results, chunk_no, values, lock)
+                    return
+            except Exception:
+                return
+            finally:
+                sock.close()
+
+        threading.Thread(target=reap, daemon=True).start()
+
+    def _run_wave(self, job, pending, batch_no: int, attempt: int):
+        """Dispatch one wave of chunks concurrently, each under its own
+        lease, so the wave lasts as long as its slowest chunk.  Returns
+        ``None`` once no agent is alive.  Fault injections and each
+        chunk's trace context are decided here, in the driver, so
+        observers see them and the id tree is deterministic."""
+        mode, fn, items, results = job
+        workers = self._wave_workers(pending, attempt)
+        if workers is None:
+            return None
+        dataset = self._bound_dataset()
+        plan = self.faults
+        cluster = self._cluster()
+        parent_ctx = cluster.obs.trace_parent() if cluster is not None else None
+        lock = self._lock
+        wave: List[Tuple[int, List[int], _AgentState, dict]] = []
+        for (widx, chunk), worker in zip(pending, workers):
+            try:
+                # indexed batches pass items=range(count), so this ships
+                # the task indices themselves
+                blob = dumps_task((fn, [items[i] for i in chunk]), dataset=dataset)
+            except Exception as exc:
+                raise _WorkerFailure(
+                    f"task cannot be shipped to worker agents: {exc!r}"
+                ) from None
+            action, delay_s = self._planned_fault(batch_no, widx, attempt) if plan else (None, 0.0)
+            if action is not None:
+                self._note_injection(action, f"worker {worker.label} chunk {chunk[:3]}",
+                                     worker.label, batch_no, attempt)
+            ctx = parent_ctx.child(self.span_name) if parent_ctx is not None else None
+            request = {
+                "op": "run",
+                "mode": mode,
+                "blob": blob,
+                "batch": batch_no,
+                "worker": widx,
+                "attempt": attempt,
+                "chunk": list(chunk),
+                "traceparent": ctx.to_traceparent() if ctx is not None else None,
+                "parent_span": ctx.parent_id if ctx is not None else None,
+                "span": self.span_name,
+                "inject": action,
+                "delay_s": delay_s,
+                "heartbeat_s": self.heartbeat_s,
+            }
+            if dataset is not None and dataset[0] not in worker.datasets:
+                try:
+                    self._ship_dataset(worker, dataset)
+                except (OSError, ProtocolError) as exc:
+                    self._mark_dead(worker, f"dataset ship failed: {exc}")
+            wave.append((widx, chunk, worker, request))
+
+        outcomes: List[Optional[Tuple[str, object]]] = [None] * len(wave)
+
+        def fire(i: int, widx: int, chunk: List[int],
+                 worker: _AgentState, request: dict) -> None:
+            if not worker.alive:
+                outcomes[i] = ("lost", f"worker {worker.label} already dead: "
+                                       f"{worker.reason} (chunk {chunk[:3]}…)")
+                return
+            outcome = self._dispatch_chunk(worker, request, results, widx, lock)
+            if outcome[0] == "need_dataset":
+                # freshly restarted worker: its cache is cold — ship
+                # and re-send once, transparently
+                self._emit_fault(
+                    "dataset_reship", injected=False, target=worker.label,
+                    detail=f"cache miss for {outcome[1]}",
+                )
+                try:
+                    self._ship_dataset(worker, dataset)
+                except (OSError, ProtocolError) as exc:
+                    self._mark_dead(worker, f"dataset ship failed: {exc}")
+                    outcomes[i] = ("lost",
+                                   f"worker {worker.label} lost its dataset and "
+                                   f"could not be re-shipped: {exc}")
+                    return
+                outcome = self._dispatch_chunk(worker, request, results, widx, lock)
+            if outcome[0] == "lost" and request.get("inject") == "kill":
+                # the plan killed this agent; don't burn a retry
+                # probing its corpse next wave
+                self._mark_dead(worker, "injected worker kill")
+            outcomes[i] = outcome
+
+        threads = [
+            threading.Thread(target=fire, args=(i,) + entry, daemon=True)
+            for i, entry in enumerate(wave)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        for i, (widx, _chunk, _worker, _request) in enumerate(wave):
+            status, payload = outcomes[i]
+            if status == "ok" and payload is not None and cluster is not None:
+                cluster.obs.emit_exec_span(ExecSpanRecord(**payload))
+            # the first writer's values; a lost chunk whose late result
+            # a reaper salvaged meanwhile counts as done
+            if status != "fatal" and widx in results:
+                outcomes[i] = ("ok", results[widx])
+        return outcomes
+
+
+def _reap_agents(agents: List[_AgentState], owner: int) -> None:
+    """Kill and reap every live local agent; a no-op in any process but
+    ``owner``, the one that forked them."""
+    if os.getpid() == owner:
+        for agent in agents:
+            agent.mark_dead("shut down by driver")
+
 
 class ProcessExecutor(_ChunkedExecutor):
-    """Fork real OS processes for per-machine local work.
+    """Run per-machine local work on persistent local worker agents.
 
-    Workers are forked per batch: each inherits a consistent snapshot of
-    the driver (machines, RNG streams, the round's driver-side arrays)
-    at zero marshalling cost, computes its strided share of the tasks,
-    and ships only the results back through a pipe.  The point matrix is
-    migrated into shared memory at :meth:`bind` time so even many rounds
-    of copy-on-write churn never duplicate it.
+    The first batch that goes parallel forks ``max_workers``
+    :class:`~repro.mpc.remote.WorkerAgent` processes with one task slot
+    each (one agent with several slots would run its chunks on threads,
+    under one GIL); construction and :meth:`bind` fork nothing.  Chunk
+    ``w`` runs on the agent of slot ``w``, on an ephemeral 127.0.0.1
+    port.  An agent that died is noticed at once (EOF, or ``waitpid``)
+    and replaced before the next wave.  :meth:`shutdown`, garbage
+    collection and interpreter exit reap the agents; an agent whose
+    driver is gone exits by itself.
 
-    Fault tolerance is layered (see ``docs/fault_tolerance.md``):
-
-    1. a chunk whose worker dies without reporting, or ships an
-       undecodable payload, is **re-executed alone** — healthy chunks'
-       results are kept — up to :attr:`chunk_retries` times;
-    2. beyond that (or when a task raises a real exception, which is
-       deterministic and not worth retrying) the whole batch **falls
-       back to a serial re-run in the driver**, with the reason
-       appended to :attr:`degradations`.
-
-    Both rungs preserve bit-identity: workers never mutate driver
-    state, so re-executing a chunk (in a fresh fork or in the driver)
-    reproduces exactly what the lost worker would have returned, and
-    ``map_machines``'s RNG-state/oracle-delta replay then applies the
-    same synchronisation it always does.  :attr:`fallback_reason` keeps
-    its original meaning — a *permanent* platform degradation (no
-    ``fork()``), distinct from the per-batch entries in
-    :attr:`degradations`.
+    A lost chunk (dead agent, undecodable payload) is re-executed alone,
+    up to :attr:`chunk_retries` times; beyond that, or when a task
+    raises or cannot be pickled, the batch re-runs serially in the
+    driver with the reason appended to :attr:`degradations` (see
+    ``docs/fault_tolerance.md``).  :attr:`fallback_reason` marks a
+    *permanent* platform degradation (no ``fork()``).
 
     Parameters
     ----------
     max_workers:
-        Number of forked workers per batch; defaults to the
+        Number of local agents; defaults to the
         :data:`WORKERS_ENV_VAR` (``REPRO_WORKERS``) environment
         variable when set, else the CPU count.
     faults:
         Optional :class:`~repro.faults.FaultPlan`; its executor layer
-        (worker kill / payload corrupt / delay) is injected into forked
-        workers.  Usually wired through
+        (worker kill / payload corrupt / delay) is decided in the driver
+        and enacted by the agents.  Usually wired through
         :class:`~repro.mpc.cluster.MPCCluster`'s ``faults`` argument.
     chunk_retries:
         Times a dead/undecodable chunk is re-executed before the batch
         degrades to a serial re-run.
     """
+
+    #: no lease and no deadline: a local agent's death closes the
+    #: chunk's connection at once, and a slow chunk is only slow
+    lease_s = None
+    chunk_timeout_s = None
+    connect_timeout_s = 2.0
+    heartbeat_s = 0.2
 
     def __init__(
         self,
@@ -362,31 +721,17 @@ class ProcessExecutor(_ChunkedExecutor):
         faults=None,
         chunk_retries: int = 2,
     ) -> None:
-        # attributes first: __del__ must survive a failed env lookup below
-        self.max_workers = max_workers
-        self.fallback_reason: Optional[str] = None
-        self._shared: List[SharedArray] = []
         super().__init__(faults, chunk_retries)
+        self.max_workers = workers_from_env() if max_workers is None else max_workers
+        self.fallback_reason: Optional[str] = None
+        if not hasattr(os, "fork") or sys.platform in ("win32", "emscripten"):
+            self.fallback_reason = f"fork() unavailable on {sys.platform}"
         #: worker slots that died permanently (outlived the chunk retry
         #: budget) — subtracted from the parallelism this executor
         #: *reports*, so bench artifacts record the surviving pool
         self.workers_lost = 0
-        if not hasattr(os, "fork") or sys.platform in ("win32", "emscripten"):
-            self.fallback_reason = f"fork() unavailable on {sys.platform}"
-        if max_workers is None:
-            self.max_workers = workers_from_env()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def bind(self, cluster) -> None:
-        """Adopt a cluster: move its point matrix into shared memory and
-        keep a (weak) back-reference for fault/recovery observability."""
-        self._cluster_ref = weakref.ref(cluster)
-        if self.fallback_reason is not None:
-            return
-        handle = share_metric_points(cluster.metric)
-        if handle is not None:
-            self._shared.append(handle)
+        self._owner = os.getpid()
+        weakref.finalize(self, _reap_agents, self._workers, self._owner)
 
     def _pool_stats(self) -> dict:
         return {
@@ -395,22 +740,71 @@ class ProcessExecutor(_ChunkedExecutor):
         }
 
     def shutdown(self) -> None:
-        """Unlink shared segments (mappings stay valid; idempotent)."""
-        for handle in self._shared:
-            handle.release()
-        self._shared = []
+        """Kill and reap the local agents (idempotent); a later parallel
+        batch forks new ones."""
+        _reap_agents(self._workers, self._owner)
 
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        self.shutdown()
+    # -- the local agents ---------------------------------------------------
+
+    def _agent(self, slot: int) -> _AgentState:
+        """The live agent of ``slot``, forked now if it has none or its
+        process has exited."""
+        agent = self._workers[slot] if slot < len(self._workers) else None
+        if agent is not None and agent.alive:
+            try:
+                exited = os.waitpid(agent.pid, os.WNOHANG)[0] != 0
+            except ChildProcessError:
+                exited = True
+            if not exited:
+                return agent
+            agent.pid = 0  # reaped just now
+        from repro.mpc.remote import run_local_agent  # remote imports this module
+
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise _WorkerFailure(f"cannot fork a local worker agent: {exc}") from None
+        if pid == 0:  # the agent leaves only through os._exit
+            code = 1
+            try:
+                os.close(read_fd)
+                run_local_agent(write_fd, self._owner)
+                code = 0
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        try:
+            port = os.read(read_fd, 16)
+        finally:
+            os.close(read_fd)
+        agent = _AgentState(("127.0.0.1", int(port or 0)), label=str(slot), pid=pid)
+        self._workers[slot:slot + 1] = [agent]
+        if not port:
+            agent.mark_dead("exited before listening")
+            raise _WorkerFailure(f"local worker agent {slot} exited before listening")
+        return agent
+
+    def _wave_workers(self, pending, attempt: int) -> List[_AgentState]:
+        return [self._agent(widx) for widx, _chunk in pending]
+
+    def _connection_lost(self, worker: _AgentState, exc: Exception) -> str:
+        # a local agent drops a chunk's connection only by dying
+        self._mark_dead(worker, f"connection lost: {exc}")
+        return f"worker {worker.label} died without reporting"
+
+    def _planned_fault(self, batch_no: int, widx: int, attempt: int):
+        plan = self.faults
+        return plan.worker_fault(batch_no, widx, attempt), plan.worker_delay_s
 
     # -- task execution -----------------------------------------------------
 
     def _workers_for(self, count: int) -> int:
         return max(1, min(self.max_workers or (os.cpu_count() or 1), count))
-
-    def _forks(self, count: int) -> bool:
-        """Whether a ``count``-task batch goes to forked workers."""
-        return count > 1 and self.fallback_reason is None and self._workers_for(count) > 1
 
     def effective_workers(self, count: int | None = None) -> int:
         """Workers a ``count``-task batch can actually be trusted to.
@@ -428,53 +822,26 @@ class ProcessExecutor(_ChunkedExecutor):
             return base
         return max(1, min(base, count))
 
-    def map_indexed(self, fn: Callable[[int], T], count: int) -> List[T]:
-        """Evaluate ``fn(i)`` for ``i in range(count)`` across forked
-        workers, in index order; falls back to serial when parallelism
-        cannot help or cannot be trusted."""
-        if self._forks(count):
-            try:
-                return self._fork_map(fn, count)
-            except _WorkerFailure as exc:
-                # Workers never mutate driver state, so a clean re-run in
-                # the driver reproduces the exact result — or the real
-                # exception, with a real traceback.
-                self._record_serial_fallback(str(exc))
-        return [fn(i) for i in range(count)]
-
-    def map_machines(self, fn, machines: Sequence, metric=None) -> list:
-        """Machine-aware dispatch with state synchronisation.
-
-        Each worker returns :func:`pack_machine` results for its
-        machines; :func:`replay_packed` applies them in the driver, so a
-        process run is bit-identical to a serial one — both the
-        algorithmic results and the CountingOracle ledger.
-        """
-        if self._forks(len(machines)):
-            counting = _counting_layers(metric)
-            try:
-                packed = self._fork_map(
-                    lambda i: pack_machine(fn, machines[i], counting), len(machines)
-                )
-                return replay_packed(packed, machines, counting)
-            except _WorkerFailure as exc:
-                self._record_serial_fallback(str(exc))
-        return [fn(mach) for mach in machines]
-
-    def _record_serial_fallback(self, reason: str) -> None:
-        """A batch degraded to a serial driver re-run; remember why."""
-        self.serial_fallbacks += 1
-        self.degradations.append(reason)
-        self._emit_fault("serial_fallback", injected=False, detail=reason)
-        _log.warning(
-            "executor batch degraded to serial re-run",
-            extra={"reason": reason, "serial_fallbacks": self.serial_fallbacks},
-        )
-
-    def _fork_map(self, task: Callable[[int], T], count: int) -> List[T]:
-        """Run the retry ladder with one forked worker per chunk."""
+    def _try_agents(self, mode: str, fn, items: Sequence) -> Optional[list]:
+        if self.fallback_reason is not None or self._workers_for(len(items)) < 2:
+            return None
         try:
-            return self._run_ladder(task, count, self._workers_for(count))
+            return self._agent_map(mode, fn, items)
+        except _WorkerFailure as exc:
+            # Agents never mutate driver state, so a clean re-run in the
+            # driver reproduces the exact result — or the real
+            # exception, with a real traceback.
+            self._record_fallback("serial_fallback", str(exc))
+            return None
+
+    def _fallback(self):
+        return SerialExecutor()
+
+    def _agent_map(self, mode: str, fn, items: Sequence) -> list:
+        """Run the retry ladder over the agents, one chunk per slot."""
+        try:
+            return self._run_ladder((mode, fn, items, {}), len(items),
+                                    self._workers_for(len(items)))
         except _WorkerFailure as exc:
             # these worker slots died permanently: report the surviving
             # pool from here on (see effective_workers)
@@ -489,110 +856,10 @@ class ProcessExecutor(_ChunkedExecutor):
                 attempt=attempt, detail=reason,
             )
             _log.warning(
-                "executor chunk lost; re-forking",
+                "executor chunk lost; running it again",
                 extra={"worker": widx, "batch": batch_no,
                        "attempt": attempt, "reason": reason},
             )
-
-    def _run_wave(
-        self,
-        task: Callable[[int], T],
-        pending: Sequence[Tuple[int, List[int]]],
-        batch_no: int,
-        attempt: int,
-    ) -> List[Tuple[str, object]]:
-        """Fork one worker per pending ``(worker_index, chunk)``; gather.
-
-        Returns one ``(status, payload)`` per chunk, in order:
-        ``("ok", values)``, ``("fatal", traceback_text)`` for a task
-        exception, or ``("lost", reason)`` for a worker that died
-        without reporting or shipped an undecodable payload.  When a
-        fault plan is installed, its executor-layer faults are injected
-        here — decided in the driver (so observers see them) but enacted
-        inside the forked child.
-
-        Each chunk's trace context is derived in the driver *before*
-        forking (so the id tree is deterministic), shipped into the
-        child by fork inheritance, and the child returns a timed span
-        record alongside its values — the driver merges it into the
-        bound cluster's observers as an
-        :class:`~repro.obs.events.ExecSpanRecord`.
-        """
-        plan = self.faults
-        cluster = self._cluster()
-        parent_ctx = cluster.obs.trace_parent() if cluster is not None else None
-        procs: list[tuple[int, int, list[int]]] = []
-        for widx, chunk in pending:
-            chunk_ctx = (
-                parent_ctx.child("exec/chunk") if parent_ctx is not None else None
-            )
-            action = plan.worker_fault(batch_no, widx, attempt) if plan else None
-            if action is not None:
-                self._note_injection(action, f"worker {widx} chunk {chunk[:3]}",
-                                     widx, batch_no, attempt)
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # worker
-                os.close(read_fd)
-                if action == "kill":
-                    # injected crash: exit before reporting a byte, like
-                    # an OOM-killed or segfaulted worker
-                    os._exit(1)
-                if action == "delay":
-                    time.sleep(plan.worker_delay_s)
-                status = 0
-                try:
-                    t_start = time.perf_counter()
-                    values = [task(i) for i in chunk]
-                    span = _chunk_span(
-                        "exec/chunk", widx, batch_no, attempt, chunk, t_start,
-                        chunk_ctx, chunk_ctx.parent_id if chunk_ctx else None,
-                    )
-                    payload = pickle.dumps(
-                        (values, span), protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                except BaseException:
-                    payload = pickle.dumps(traceback.format_exc())
-                    status = 1
-                if action == "corrupt":
-                    # injected bit-rot: ship bytes that cannot unpickle
-                    payload = b"\xde\xad\xbe\xef" + payload[:8]
-                try:
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(bytes([status]))
-                        pipe.write(payload)
-                finally:
-                    # hard exit: never run driver atexit/teardown in a worker
-                    os._exit(0)
-            os.close(write_fd)
-            procs.append((pid, read_fd, chunk))
-
-        outcomes: List[Tuple[str, object]] = []
-        for pid, read_fd, chunk in procs:
-            with os.fdopen(read_fd, "rb") as pipe:
-                blob = pipe.read()
-            os.waitpid(pid, 0)
-            if not blob:
-                outcomes.append(
-                    ("lost", f"worker {pid} died without reporting (chunk {chunk[:3]}…)")
-                )
-                continue
-            try:
-                data = pickle.loads(blob[1:])
-            except Exception:
-                outcomes.append(
-                    ("lost",
-                     f"worker {pid} returned an undecodable payload (chunk {chunk[:3]}…)")
-                )
-                continue
-            if blob[0] != 0:
-                outcomes.append(("fatal", str(data)))
-            else:
-                values, span = data
-                if cluster is not None:
-                    cluster.obs.emit_exec_span(ExecSpanRecord(**span))
-                outcomes.append(("ok", values))
-        return outcomes
 
 
 #: canonical backend names accepted by the CLI and the solver facade

@@ -1,18 +1,19 @@
 """Remote multi-host execution: worker agents + a lease-based executor.
 
 :class:`RemoteExecutor` is the third :class:`~repro.mpc.executor.ExecutionBackend`:
-it ships per-machine work over TCP to lightweight worker agents
+it ships per-machine work over TCP to worker agents
 (:class:`WorkerAgent`, started with ``repro worker --listen HOST:PORT``)
-instead of forking local processes.  Robustness — not the transport —
-is the design center:
+on any host.  The transport — the framed protocol of
+:mod:`repro.mpc.wire` and the socket dispatch of
+:class:`~repro.mpc.executor._ChunkedExecutor` — is the one
+:class:`~repro.mpc.executor.ProcessExecutor` uses for its local agents.
+Robustness is the design center:
 
-* **Framed protocol.**  Every message is one length-prefixed frame
-  (8-byte big-endian length + pickled payload).  A truncated frame, a
-  closed socket, or an oversized header is a :class:`ProtocolError`,
-  never a hang or a partial read.
+* **Framed protocol.**  A truncated frame, a closed socket, or an
+  oversized header is a :class:`~repro.mpc.wire.ProtocolError`, never a
+  hang or a partial read.
 * **Dataset cache.**  The point matrix is shipped **once per dataset
-  fingerprint** per worker (the remote analogue of
-  :mod:`repro.mpc.shm`); chunk payloads reference it by fingerprint
+  fingerprint** per worker; chunk payloads reference it by fingerprint
   through pickle persistent ids.  A freshly restarted worker answers
   ``need_dataset`` and the driver re-ships transparently.
 * **Leases and heartbeats.**  A dispatched chunk holds a lease of
@@ -29,8 +30,8 @@ is the design center:
   arrives *after* its lease was forfeited is counted, not applied:
   first-writer-wins.
 * **Graceful degradation.**  When the whole pool is lost mid-run the
-  batch falls to the local process backend, and from there to a serial
-  driver re-run — the same ladder, one rung higher.
+  batch falls to the process backend's local agents, and from there to
+  a serial driver re-run — the same ladder, one rung higher.
 * **Bit-identity.**  Workers replay nothing into the driver; they
   return ``(value, rng_state, oracle_deltas)`` per machine
   (:func:`~repro.mpc.executor.pack_machine`) and the driver replays RNG
@@ -46,101 +47,38 @@ reason rather than a marshal crash mid-run.
 
 from __future__ import annotations
 
+import gc
 import hashlib
-import importlib
-import io
-import marshal
 import os
 import pickle
+import signal
 import socket
-import struct
 import sys
 import threading
 import time
 import traceback
-import types
-import weakref
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mpc.executor import (
     ProcessExecutor,
+    _AgentState,
     _ChunkedExecutor,
     _chunk_span,
     _counting_layers,
     _WorkerFailure,
     pack_machine,
-    replay_packed,
     workers_from_env,
 )
-from repro.mpc.shm import _unwrap
-from repro.obs.events import ExecSpanRecord
+from repro.mpc.wire import ProtocolError, _DatasetMiss, loads_task, recv_msg, send_msg
 from repro.obs.logging import get_logger
 from repro.obs.tracing import TraceContext
-
-T = TypeVar("T")
 
 _log = get_logger("repro.mpc.remote")
 
 #: environment variable listing default remote worker addresses
 REMOTE_WORKERS_ENV_VAR = "REPRO_REMOTE_WORKERS"
-
-#: sanity cap on a single frame (a corrupted length header must not
-#: allocate gigabytes before failing)
-MAX_FRAME_BYTES = 1 << 31
-
-_HEADER = struct.Struct("!Q")
-
-
-class ProtocolError(Exception):
-    """A frame could not be read or written whole: truncated stream,
-    closed connection, or an implausible length header."""
-
-
-# -- framing ------------------------------------------------------------------
-
-
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < nbytes:
-        piece = sock.recv(min(1 << 16, nbytes - len(buf)))
-        if not piece:
-            raise ProtocolError(
-                f"connection closed mid-frame ({len(buf)}/{nbytes} bytes)"
-            )
-        buf += piece
-    return bytes(buf)
-
-
-def send_frame(sock: socket.socket, blob: bytes) -> None:
-    """Write one length-prefixed frame."""
-    sock.sendall(_HEADER.pack(len(blob)) + blob)
-
-
-def recv_frame(sock: socket.socket) -> bytes:
-    """Read one length-prefixed frame whole (or raise
-    :class:`ProtocolError`); ``socket.timeout`` propagates so callers
-    can implement leases."""
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    return _recv_exact(sock, length)
-
-
-def send_msg(sock: socket.socket, payload: dict) -> None:
-    send_frame(sock, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def recv_msg(sock: socket.socket) -> dict:
-    blob = recv_frame(sock)
-    try:
-        payload = pickle.loads(blob)
-    except Exception as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"expected a dict frame, got {type(payload).__name__}")
-    return payload
 
 
 def parse_worker_addresses(spec, *, allow_zero_port: bool = False) -> List[Tuple[str, int]]:
@@ -181,171 +119,17 @@ def workers_from_remote_env() -> List[Tuple[str, int]]:
     return parse_worker_addresses(os.environ.get(REMOTE_WORKERS_ENV_VAR, ""))
 
 
-# -- task shipping ------------------------------------------------------------
-#
-# map_machines tasks are closures over numpy arrays and module-level
-# helpers — exactly what stdlib pickle refuses.  The pair of pickler
-# subclasses below ships such functions *by value*: the marshalled code
-# object, defaults, closure-cell contents, and the referenced globals
-# (modules go by name, module-level functions by reference).  The point
-# matrix additionally travels as a persistent id so a chunk payload
-# never embeds the dataset — the worker resolves the fingerprint from
-# its cache and answers ``need_dataset`` on a miss.
-
-
-class _DatasetMiss(Exception):
-    def __init__(self, fingerprint: str) -> None:
-        super().__init__(f"dataset {fingerprint} not cached on this worker")
-        self.fingerprint = fingerprint
-
-
-class _EmptyCell:
-    """Sentinel for an unassigned closure cell."""
-
-
-_EMPTY_CELL = _EmptyCell()
-
-
-def _code_names(code: types.CodeType) -> set:
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _code_names(const)
-    return names
-
-
-def _shipped_by_value(fn: types.FunctionType) -> bool:
-    """True when ``fn`` cannot be pickled by reference (lambdas,
-    nested functions, anything not importable under its qualname)."""
-    if fn.__name__ == "<lambda>" or "<locals>" in fn.__qualname__:
-        return True
-    module = sys.modules.get(fn.__module__)
-    if module is None:
-        return True
-    target = module
-    for part in fn.__qualname__.split("."):
-        target = getattr(target, part, None)
-        if target is None:
-            return True
-    return target is not fn
-
-
-def _rebuild_function(code_bytes, name, defaults, kwdefaults, cells, glb, module):
-    import builtins
-
-    code = marshal.loads(code_bytes)
-    namespace = dict(glb)
-    namespace.setdefault("__builtins__", builtins)
-    namespace.setdefault("__name__", module)
-    closure = tuple(
-        types.CellType() if isinstance(v, _EmptyCell) else types.CellType(v)
-        for v in cells
-    )
-    fn = types.FunctionType(code, namespace, name, defaults, closure)
-    fn.__kwdefaults__ = kwdefaults
-    return fn
-
-
-def _reduce_function(fn: types.FunctionType):
-    cells = []
-    for cell in fn.__closure__ or ():
-        try:
-            cells.append(cell.cell_contents)
-        except ValueError:  # pragma: no cover - unassigned cell
-            cells.append(_EMPTY_CELL)
-    glb = {
-        name: fn.__globals__[name]
-        for name in sorted(_code_names(fn.__code__))
-        if name in fn.__globals__ and fn.__globals__[name] is not fn
-    }
-    return (
-        _rebuild_function,
-        (
-            marshal.dumps(fn.__code__),
-            fn.__name__,
-            fn.__defaults__,
-            fn.__kwdefaults__,
-            tuple(cells),
-            glb,
-            fn.__module__,
-        ),
-    )
-
-
-class _TaskPickler(pickle.Pickler):
-    def __init__(self, buf, dataset: Optional[Tuple[str, np.ndarray]] = None) -> None:
-        super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
-        self._dataset = dataset
-
-    def persistent_id(self, obj):
-        if self._dataset is not None and obj is self._dataset[1]:
-            return ("repro-dataset", self._dataset[0])
-        return None
-
-    def reducer_override(self, obj):
-        if isinstance(obj, types.ModuleType):
-            return (importlib.import_module, (obj.__name__,))
-        if isinstance(obj, types.FunctionType) and _shipped_by_value(obj):
-            return _reduce_function(obj)
-        return NotImplemented
-
-
-class _TaskUnpickler(pickle.Unpickler):
-    def __init__(self, buf, datasets: dict) -> None:
-        super().__init__(buf)
-        self._datasets = datasets
-
-    def persistent_load(self, pid):
-        kind, fingerprint = pid
-        if kind != "repro-dataset":  # pragma: no cover - protocol guard
-            raise ProtocolError(f"unknown persistent id {pid!r}")
-        try:
-            return self._datasets[fingerprint]
-        except KeyError:
-            raise _DatasetMiss(fingerprint) from None
-
-
-def dumps_task(payload, dataset: Optional[Tuple[str, np.ndarray]] = None) -> bytes:
-    """Pickle a task payload, shipping closures by value and the point
-    matrix (when given) as a fingerprint reference."""
-    buf = io.BytesIO()
-    _TaskPickler(buf, dataset=dataset).dump(payload)
-    return buf.getvalue()
-
-
-def loads_task(blob: bytes, datasets: dict):
-    """Inverse of :func:`dumps_task`; raises :class:`_DatasetMiss` when a
-    referenced fingerprint is not in ``datasets``."""
-    return _TaskUnpickler(io.BytesIO(blob), datasets).load()
-
-
-def find_points_array(metric) -> Optional[np.ndarray]:
-    """The metric's raw coordinate matrix, if it has one (same walk as
-    :func:`repro.mpc.shm.share_metric_points`)."""
-    for layer in _unwrap(metric):
-        data = getattr(getattr(layer, "points", None), "_data", None)
-        if isinstance(data, np.ndarray):
-            return data
-    return None
-
-
-def dataset_fingerprint(array: np.ndarray) -> str:
-    """Content fingerprint of a point matrix (shape + dtype + bytes)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(repr((array.shape, str(array.dtype))).encode())
-    h.update(np.ascontiguousarray(array).tobytes())
-    return h.hexdigest()
-
-
 # -- the worker agent ---------------------------------------------------------
 
 
 class WorkerAgent:
-    """One remote worker: accepts framed requests, executes chunks.
+    """One worker agent: accepts framed requests, executes chunks.
 
     Usable in-process (tests, the docs quickstart) via :meth:`start` /
-    :meth:`stop`, or as a dedicated process via ``repro worker --listen
-    HOST:PORT`` (:meth:`serve_forever`).  The local slot count defaults
+    :meth:`stop`, as a dedicated process via ``repro worker --listen
+    HOST:PORT`` (:meth:`serve_forever`), or as a local agent forked by
+    :class:`~repro.mpc.executor.ProcessExecutor`
+    (:func:`run_local_agent`).  The local slot count defaults
     to ``REPRO_WORKERS`` (see
     :func:`~repro.mpc.executor.workers_from_env`), else the CPU count;
     slots bound how many chunks execute concurrently on this agent.
@@ -357,7 +141,7 @@ class WorkerAgent:
          shape, dtype, blob}                    -> {"ok", "cached"}
         {"op": "run", mode, blob, batch,
          worker, attempt, chunk, traceparent,
-         parent_span, inject, delay_s,
+         parent_span, span, inject, delay_s,
          heartbeat_s}                           -> {"hb": n}* then
                                                    {"ok": True, "blob"} |
                                                    {"ok": False, "fatal"} |
@@ -574,56 +358,59 @@ class WorkerAgent:
             try:
                 if request["mode"] == "machines":
                     fn, machines = payload
-                    counting = _counting_layers(machines[0].metric) if machines else []
+                    metric = getattr(machines[0], "metric", None) if machines else None
+                    counting = _counting_layers(metric)
                     values = [pack_machine(fn, mach, counting) for mach in machines]
                 else:
                     fn, indices = payload
                     values = [fn(i) for i in indices]
+                span = _chunk_span(
+                    request.get("span", "remote/chunk"), request["worker"],
+                    request["batch"], request["attempt"], request["chunk"], t_start,
+                    TraceContext.from_traceparent(request.get("traceparent")),
+                    request.get("parent_span"),
+                )
+                blob = pickle.dumps((values, span), protocol=pickle.HIGHEST_PROTOCOL)
             except BaseException:
                 return {"ok": False, "fatal": traceback.format_exc()}
-            span = _chunk_span(
-                "remote/chunk", request["worker"], request["batch"],
-                request["attempt"], request["chunk"], t_start,
-                TraceContext.from_traceparent(request.get("traceparent")),
-                request.get("parent_span"),
-            )
-            return {
-                "ok": True,
-                "blob": pickle.dumps((values, span), protocol=pickle.HIGHEST_PROTOCOL),
-            }
+            return {"ok": True, "blob": blob}
+
+
+def _detach_inherited_fds(keep: int) -> None:
+    """Point every descriptor a fork inherited (above stderr, except
+    ``keep``) at /dev/null: a driver socket left open in an agent would
+    keep its port bound and its peer from seeing EOF.  The numbers stay
+    taken, so an inherited object closing its descriptor later cannot
+    hit one the agent opened."""
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # pragma: no cover - no procfs
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        if fd > 2 and fd not in (keep, null):
+            os.dup2(null, fd)
+    os.close(null)
+
+
+def run_local_agent(report_fd: int, driver: int) -> None:
+    """Body of a local agent forked by
+    :class:`~repro.mpc.executor.ProcessExecutor`: serve one task slot on
+    an ephemeral 127.0.0.1 port, report the port on ``report_fd``, and
+    return once shut down or once ``driver`` is no longer the parent."""
+    _detach_inherited_fds(keep=report_fd)
+    # the inherited heap stays shared: the collector never touches it
+    gc.freeze()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the driver's
+    agent = WorkerAgent(slots=1, allow_exit=True)
+    _host, port = agent.start()
+    os.write(report_fd, str(port).encode())
+    os.close(report_fd)
+    while os.getppid() == driver and not agent._stopped.wait(0.5):
+        pass
 
 
 # -- the driver side ----------------------------------------------------------
-
-
-class _RemoteWorkerState:
-    """Driver-side record of one worker agent."""
-
-    __slots__ = ("addr", "alive", "reason", "datasets", "dispatched", "lost")
-
-    def __init__(self, addr: Tuple[str, int]) -> None:
-        self.addr = addr
-        self.alive = True
-        self.reason = ""
-        self.datasets: set = set()
-        self.dispatched = 0
-        self.lost = 0
-
-    @property
-    def label(self) -> str:
-        return f"{self.addr[0]}:{self.addr[1]}"
-
-    def mark_dead(self, reason: str) -> None:
-        self.alive = False
-        self.reason = reason
-
-    def status(self) -> dict:
-        return {
-            "alive": self.alive,
-            "reason": self.reason,
-            "dispatched": self.dispatched,
-            "lost": self.lost,
-        }
 
 
 class RemoteExecutor(_ChunkedExecutor):
@@ -694,7 +481,7 @@ class RemoteExecutor(_ChunkedExecutor):
         addrs = parse_worker_addresses(workers) if workers is not None else workers_from_remote_env()
         if max_workers is not None:
             addrs = addrs[: max(1, int(max_workers))]
-        self._workers: List[_RemoteWorkerState] = [_RemoteWorkerState(a) for a in addrs]
+        self._workers.extend(_AgentState(a) for a in addrs)
         self.lease_s = float(lease_s)
         self.chunk_timeout_s = float(chunk_timeout_s)
         self.connect_timeout_s = float(connect_timeout_s)
@@ -710,26 +497,17 @@ class RemoteExecutor(_ChunkedExecutor):
                 "or pass --workers HOST:PORT,...)"
             )
         # remote-specific counters (superset of the ProcessExecutor set)
-        self.dispatched_chunks = 0
         self.redispatched_chunks = 0
-        self.duplicate_results = 0
-        self.datasets_shipped = 0
         self.local_fallbacks = 0
         self._pinged = False
-        self._dataset: Optional[Tuple[str, np.ndarray]] = None
         self._local: Optional[ProcessExecutor] = None
-        self._lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
 
     def bind(self, cluster) -> None:
-        """Adopt a cluster: locate the point matrix for the dataset
-        cache, keep a weak back-reference for observability, and probe
+        """Adopt a cluster (see :meth:`_ChunkedExecutor.bind`) and probe
         the pool once."""
-        self._cluster_ref = weakref.ref(cluster)
-        array = find_points_array(cluster.metric)
-        if array is not None:
-            self._dataset = (dataset_fingerprint(array), array)
+        super().bind(cluster)
         self._ping_pool()
 
     def shutdown(self) -> None:
@@ -757,7 +535,7 @@ class RemoteExecutor(_ChunkedExecutor):
 
     # -- observability --------------------------------------------------------
 
-    def _alive(self) -> List[_RemoteWorkerState]:
+    def _alive(self) -> List[_AgentState]:
         return [w for w in self._workers if w.alive]
 
     def effective_workers(self, count: int | None = None) -> int:
@@ -766,7 +544,7 @@ class RemoteExecutor(_ChunkedExecutor):
         ladder's parallelism once the pool is gone."""
         alive = len(self._alive())
         if self.fallback_reason is not None or alive == 0:
-            return self._local_executor().effective_workers(count)
+            return self._fallback().effective_workers(count)
         return alive if count is None else max(1, min(alive, count))
 
     def pool_status(self) -> dict:
@@ -793,7 +571,7 @@ class RemoteExecutor(_ChunkedExecutor):
             "workers": {w.label: w.status() for w in self._workers},
         }
 
-    def _mark_dead(self, worker: _RemoteWorkerState, reason: str) -> None:
+    def _mark_dead(self, worker: _AgentState, reason: str) -> None:
         if not worker.alive:
             return
         worker.mark_dead(reason)
@@ -813,7 +591,7 @@ class RemoteExecutor(_ChunkedExecutor):
 
     # -- local degradation ladder ---------------------------------------------
 
-    def _local_executor(self) -> ProcessExecutor:
+    def _fallback(self) -> ProcessExecutor:
         if self._local is None:
             self._local = ProcessExecutor(
                 faults=self.faults, chunk_retries=self.chunk_retries
@@ -822,21 +600,6 @@ class RemoteExecutor(_ChunkedExecutor):
             if cluster is not None:
                 self._local.bind(cluster)
         return self._local
-
-    def _record_degradation(self, reason: str) -> None:
-        self.degradations.append(reason)
-        local = self._local_executor()
-        if local.fallback_reason is None:
-            self.local_fallbacks += 1
-            self._emit_fault("local_fallback", injected=False, detail=reason)
-        else:
-            self.serial_fallbacks += 1
-            self._emit_fault("serial_fallback", injected=False, detail=reason)
-        _log.warning(
-            "remote batch degraded to local execution",
-            extra={"reason": reason, "ladder": "process"
-                   if local.fallback_reason is None else "serial"},
-        )
 
     # -- dispatch -------------------------------------------------------------
 
@@ -874,142 +637,13 @@ class RemoteExecutor(_ChunkedExecutor):
         jitter = 0.75 + 0.5 * (int.from_bytes(digest, "big") / 2**64)
         return min(base * jitter, self.max_backoff_s)
 
-    def _ship_dataset(self, worker: _RemoteWorkerState) -> None:
-        """Ship the point matrix to one worker (once per fingerprint)."""
-        if self._dataset is None:
-            return
-        fingerprint, array = self._dataset
-        with socket.create_connection(
-            worker.addr, timeout=self.connect_timeout_s
-        ) as conn:
-            conn.settimeout(max(self.lease_s, self.chunk_timeout_s))
-            send_msg(conn, {
-                "op": "put_dataset",
-                "fingerprint": fingerprint,
-                "shape": tuple(array.shape),
-                "dtype": str(array.dtype),
-                "blob": np.ascontiguousarray(array).tobytes(),
-            })
-            reply = recv_msg(conn)
-        if not reply.get("ok"):  # pragma: no cover - protocol guard
-            raise ProtocolError(f"put_dataset refused: {reply!r}")
-        worker.datasets.add(fingerprint)
-        self.datasets_shipped += 1
-
-    def _store_result(self, results: dict, chunk_no: int, values, lock) -> bool:
-        """First-writer-wins slot fill; duplicates are counted, not
-        applied (a re-dispatched chunk's late original result)."""
-        with lock:
-            if chunk_no in results:
-                self.duplicate_results += 1
-                self._emit_fault(
-                    "duplicate_result", injected=False,
-                    target=f"chunk {chunk_no}",
-                    detail="late result after lease forfeit; first writer kept",
-                )
-                return False
-            results[chunk_no] = values
-            return True
-
-    def _dispatch_chunk(
-        self,
-        worker: _RemoteWorkerState,
-        request: dict,
-        results: dict,
-        chunk_no: int,
-        lock,
-    ) -> Tuple[str, object]:
-        """Send one chunk to one worker under a heartbeated lease.
-
-        Returns ``("ok", span_dict_or_None)``, ``("fatal", tb_text)``,
-        or ``("lost", reason)``.  Connect failures and lease expiry mark
-        the worker dead; a dropped connection or corrupt payload only
-        loses the chunk (the agent may well still be healthy).
-        """
-        label = worker.label
-        chunk_head = request["chunk"][:3]
-        try:
-            sock = socket.create_connection(worker.addr, timeout=self.connect_timeout_s)
-        except OSError as exc:
-            self._mark_dead(worker, f"connect failed: {exc}")
-            return ("lost", f"worker {label} unreachable: {exc} (chunk {chunk_head}…)")
-        worker.dispatched += 1
-        self.dispatched_chunks += 1
-        deadline = time.monotonic() + self.chunk_timeout_s
-        try:
-            sock.settimeout(self.lease_s)
-            send_msg(sock, request)
-            while True:
-                if time.monotonic() > deadline:
-                    worker.lost += 1
-                    self._mark_dead(worker, "chunk deadline exceeded")
-                    self._abandon(sock, results, chunk_no, label)
-                    return ("lost",
-                            f"worker {label} exceeded the {self.chunk_timeout_s}s "
-                            f"chunk deadline (chunk {chunk_head}…)")
-                try:
-                    reply = recv_msg(sock)
-                except socket.timeout:
-                    worker.lost += 1
-                    self._mark_dead(worker, f"lease expired ({self.lease_s}s without a heartbeat)")
-                    self._abandon(sock, results, chunk_no, label)
-                    return ("lost",
-                            f"worker {label} lease expired after {self.lease_s}s "
-                            f"(chunk {chunk_head}…)")
-                if "hb" in reply:
-                    continue  # lease renewed
-                break
-        except (OSError, ProtocolError) as exc:
-            worker.lost += 1
-            sock.close()
-            return ("lost",
-                    f"worker {label} connection lost: {exc} (chunk {chunk_head}…)")
-        sock.close()
-        if reply.get("ok"):
-            try:
-                values, span = pickle.loads(reply["blob"])
-            except Exception:
-                worker.lost += 1
-                return ("lost",
-                        f"worker {label} returned an undecodable payload "
-                        f"(chunk {chunk_head}…)")
-            stored = self._store_result(results, chunk_no, values, lock)
-            return ("ok", span if stored else None)
-        if "need_dataset" in reply:
-            return ("need_dataset", reply["need_dataset"])
-        return ("fatal", str(reply.get("fatal", "worker reported an unknown error")))
-
-    def _abandon(self, sock: socket.socket, results: dict, chunk_no: int, label: str) -> None:
-        """Keep listening on a forfeited chunk's socket in the
-        background: if the slow worker eventually answers, the late
-        result hits the first-writer-wins gate instead of a closed
-        port (and is counted as a duplicate)."""
-        lock = self._lock
-
-        def reap() -> None:
-            try:
-                sock.settimeout(self.chunk_timeout_s)
-                while True:
-                    reply = recv_msg(sock)
-                    if "hb" in reply:
-                        continue
-                    if reply.get("ok"):
-                        values, _span = pickle.loads(reply["blob"])
-                        self._store_result(results, chunk_no, values, lock)
-                    return
-            except Exception:
-                return
-            finally:
-                sock.close()
-
-        threading.Thread(target=reap, daemon=True).start()
-
-    def _remote_map(self, mode: str, fn, items: Sequence, count: int) -> Optional[list]:
+    def _try_agents(self, mode: str, fn, items: Sequence) -> Optional[list]:
         """Run the retry ladder over the surviving pool, one chunk per
         worker; each wave's dispatches run concurrently.  Returns
         ``None`` when the batch must run on the local ladder instead
         (a failed batch records why)."""
-        if self.fallback_reason is not None or not self._alive():
+        count = len(items)
+        if count <= 1 or self.fallback_reason is not None or not self._alive():
             return None
         self._ping_pool()
         alive = self._alive()
@@ -1020,8 +654,20 @@ class RemoteExecutor(_ChunkedExecutor):
                 raise _WorkerFailure(self.fallback_reason or "no live remote workers")
             return self._run_ladder((mode, fn, items, results), count, min(len(alive), count))
         except _WorkerFailure as exc:
-            self._record_degradation(str(exc))
+            usable = self._fallback().fallback_reason is None
+            self._record_fallback("local_fallback" if usable else "serial_fallback", str(exc))
             return None
+
+    def _wave_workers(self, pending, attempt: int) -> Optional[List[_AgentState]]:
+        # a retried chunk moves to the next survivor
+        alive = self._alive()
+        if not alive:
+            return None
+        return [alive[(widx + attempt) % len(alive)] for widx, _chunk in pending]
+
+    def _planned_fault(self, batch_no: int, widx: int, attempt: int):
+        plan = self.faults
+        return plan.remote_fault(batch_no, widx, attempt), plan.remote_delay_s
 
     def _note_retry(self, retryable, reasons, batch_no: int, attempt: int) -> None:
         self.redispatched_chunks += len(retryable)
@@ -1037,131 +683,3 @@ class RemoteExecutor(_ChunkedExecutor):
                        "attempt": attempt, "reason": reason},
             )
         time.sleep(self._retry_delay(attempt, (batch_no, "redispatch")))
-
-    def _run_wave(self, job, pending, batch_no: int, attempt: int):
-        """Dispatch one wave of chunks concurrently, each under its own
-        lease, so the wave lasts as long as its slowest chunk.  Returns
-        ``None`` once no worker is alive."""
-        mode, fn, items, results = job
-        alive = self._alive()
-        if not alive:
-            return None
-        plan = self.faults
-        cluster = self._cluster()
-        parent_ctx = cluster.obs.trace_parent() if cluster is not None else None
-        lock = self._lock
-        wave: List[Tuple[int, List[int], _RemoteWorkerState, dict]] = []
-        for widx, chunk in pending:
-            worker = alive[(widx + attempt) % len(alive)]
-            try:
-                # indexed batches pass items=range(count), so this ships
-                # the task indices themselves
-                blob = dumps_task((fn, [items[i] for i in chunk]), dataset=self._dataset)
-            except Exception as exc:
-                raise _WorkerFailure(
-                    f"task cannot be shipped to remote workers: {exc!r}"
-                ) from None
-            action = plan.remote_fault(batch_no, widx, attempt) if plan else None
-            if action is not None:
-                self._note_injection(action, f"worker {worker.label} chunk {chunk[:3]}",
-                                     worker.label, batch_no, attempt)
-            ctx = (
-                parent_ctx.child("remote/chunk")
-                if parent_ctx is not None else None
-            )
-            request = {
-                "op": "run",
-                "mode": mode,
-                "blob": blob,
-                "batch": batch_no,
-                "worker": widx,
-                "attempt": attempt,
-                "chunk": list(chunk),
-                "traceparent": ctx.to_traceparent() if ctx is not None else None,
-                "parent_span": ctx.parent_id if ctx is not None else None,
-                "inject": action,
-                "delay_s": plan.remote_delay_s if plan is not None else 0.0,
-                "heartbeat_s": self.heartbeat_s,
-            }
-            if self._dataset is not None and self._dataset[0] not in worker.datasets:
-                try:
-                    self._ship_dataset(worker)
-                except (OSError, ProtocolError) as exc:
-                    self._mark_dead(worker, f"dataset ship failed: {exc}")
-            wave.append((widx, chunk, worker, request))
-
-        outcomes: List[Optional[Tuple[str, object]]] = [None] * len(wave)
-
-        def fire(i: int, widx: int, chunk: List[int],
-                 worker: _RemoteWorkerState, request: dict) -> None:
-            if not worker.alive:
-                outcomes[i] = ("lost", f"worker {worker.label} already dead: "
-                                       f"{worker.reason} (chunk {chunk[:3]}…)")
-                return
-            outcome = self._dispatch_chunk(worker, request, results, widx, lock)
-            if outcome[0] == "need_dataset":
-                # freshly restarted worker: its cache is cold — ship
-                # and re-send once, transparently
-                self._emit_fault(
-                    "dataset_reship", injected=False, target=worker.label,
-                    detail=f"cache miss for {outcome[1]}",
-                )
-                try:
-                    self._ship_dataset(worker)
-                except (OSError, ProtocolError) as exc:
-                    self._mark_dead(worker, f"dataset ship failed: {exc}")
-                    outcomes[i] = ("lost",
-                                   f"worker {worker.label} lost its dataset and "
-                                   f"could not be re-shipped: {exc}")
-                    return
-                outcome = self._dispatch_chunk(worker, request, results, widx, lock)
-            if outcome[0] == "lost" and request.get("inject") == "kill":
-                # the plan killed this agent; don't burn a retry
-                # probing its corpse next wave
-                self._mark_dead(worker, "injected worker kill")
-            outcomes[i] = outcome
-
-        threads = [
-            threading.Thread(target=fire, args=(i,) + entry, daemon=True)
-            for i, entry in enumerate(wave)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        for i, (widx, _chunk, _worker, _request) in enumerate(wave):
-            status, payload = outcomes[i]
-            if status == "ok" and payload is not None and cluster is not None:
-                cluster.obs.emit_exec_span(ExecSpanRecord(**payload))
-            # the first writer's values; a lost chunk whose late result
-            # a reaper salvaged meanwhile counts as done
-            if status != "fatal" and widx in results:
-                outcomes[i] = ("ok", results[widx])
-        return outcomes
-
-    # -- the ExecutionBackend surface ----------------------------------------
-
-    def map_indexed(self, fn: Callable[[int], T], count: int) -> List[T]:
-        """Evaluate ``fn(i)`` for ``i in range(count)`` across the pool,
-        in index order; degrades down the local ladder when the pool
-        cannot finish."""
-        if count <= 1:
-            return [fn(i) for i in range(count)]
-        values = self._remote_map("indexed", fn, range(count), count)
-        if values is None:
-            return self._local_executor().map_indexed(fn, count)
-        return values
-
-    def map_machines(self, fn, machines: Sequence, metric=None) -> list:
-        """Machine-aware dispatch with state synchronisation, shipped
-        over the wire: workers return ``(value, rng_state,
-        oracle_deltas)`` per machine, the driver replays them — a
-        remote run is bit-identical to a serial one, CountingOracle
-        ledger included."""
-        if len(machines) <= 1:
-            return [fn(mach) for mach in machines]
-        packed = self._remote_map("machines", fn, machines, len(machines))
-        if packed is None:
-            return self._local_executor().map_machines(fn, machines, metric=metric)
-        return replay_packed(packed, machines, _counting_layers(metric))

@@ -11,8 +11,8 @@ production deployment's failure modes) speak about:
   paper-level phase;
 * :class:`FaultEvent` — one injected fault or one recovery action
   (*what went wrong and what fixed it*; see :mod:`repro.faults`);
-* :class:`ExecSpanRecord` — one executor chunk executed in a forked
-  worker process or on a remote worker agent, timed inside the worker
+* :class:`ExecSpanRecord` — one executor chunk executed on a local or
+  remote worker agent, timed inside the worker
   and shipped back with its results (*where the worker-level
   parallelism goes*).
 
@@ -221,16 +221,15 @@ class ExecSpanRecord:
     """One executor chunk, timed inside the worker that computed it.
 
     The driver derives the chunk's trace context *before* dispatching;
-    the worker — a forked child of the process backend, or a socket
-    agent of the remote backend (then ``name`` is ``"remote/chunk"``
-    and the context travels as a ``traceparent`` header in the request
-    frame) — stamps ``start_time``/``end_time`` and ships the record
+    the worker agent — forked by the process backend, or remote (then
+    ``name`` is ``"remote/chunk"``); the context travels as a
+    ``traceparent`` header in the request frame — stamps ``start_time``/``end_time`` and ships the record
     back with its results.  Merged into
     :attr:`~repro.obs.record.RunLog.exec_spans`, these are the
     "child spans under distinct pids" of the Chrome export — kept apart
     from the algorithm-phase :class:`SpanRecord` list so serial,
     process, and remote runs produce identical *phase* span sets.
-    Forked children share the driver's ``time.perf_counter`` domain;
+    Local agents share the driver's ``time.perf_counter`` domain;
     remote agents do not, so their stamps order events only within one
     agent.
     """
@@ -247,7 +246,7 @@ class ExecSpanRecord:
     chunk_size: int
     #: first task index of the strided chunk (-1 when unknown)
     first_index: int = -1
-    #: the forked child's OS pid (diagnostic only — not deterministic)
+    #: the agent's OS pid (diagnostic only — not deterministic)
     os_pid: int = 0
     start_time: float = 0.0
     end_time: float = 0.0

@@ -116,7 +116,7 @@ def to_chrome_trace(log: RunLog) -> Dict:
     """Build a Chrome trace-event document (JSON Object Format).
 
     Driver-side tracks (phases, rounds, faults) render under pid 0;
-    executor chunk spans merged from forked workers render under
+    executor chunk spans merged from worker agents render under
     synthetic pid ``1 + worker`` so Perfetto shows one process lane per
     worker slot (the real OS pid — which is not deterministic — stays
     in the event args).

@@ -154,8 +154,8 @@ class ObserverHub:
         Once set, every span opened through :meth:`span` derives a
         deterministic child context — ids land on the records, nested
         spans parent correctly, and :meth:`trace_parent` exposes the
-        innermost active context for the executor to ship to forked
-        chunk workers.
+        innermost active context for the executor to ship to worker
+        agents with their chunks.
         """
         self._trace = ctx
 

@@ -30,7 +30,7 @@ class RunLog:
     rounds: List[RoundRecord] = field(default_factory=list)
     messages: List[MessageEvent] = field(default_factory=list)
     faults: List[FaultEvent] = field(default_factory=list)
-    #: chunk spans merged back from forked executor workers — kept
+    #: chunk spans merged back from executor worker agents — kept
     #: separate from :attr:`spans` so the algorithm-phase span set is
     #: identical across serial and process backends
     exec_spans: List[ExecSpanRecord] = field(default_factory=list)

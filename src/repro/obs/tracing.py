@@ -3,7 +3,7 @@
 One :class:`TraceContext` identifies a request end to end: the client
 stamps it on the HTTP call, the service hands it to the job, the job
 hands it to the solver run, the solver's phase spans inherit it, and
-the process executor ships it to forked chunk workers — so a single
+the executor ships it to the worker agents running chunks — so a single
 128-bit trace id connects ``ServiceClient.submit`` to the innermost
 chunk span of the run that served it.
 

@@ -12,9 +12,7 @@ registers, submits, and waits::
     done = client.wait(job["id"])
     done["result"]["record"]["radius"]
 
-Requests go to the versioned API (``/v1/…`` by default; the
-``api_version`` knob pins another prefix, or ``""`` for the deprecated
-legacy paths).  HTTP error responses raise :class:`ServiceError`
+Requests go to the versioned API (``/v1/…``).  HTTP error responses raise :class:`ServiceError`
 carrying the status, the machine-readable error ``code`` from the
 server's uniform envelope ``{"error": {"code", "message",
 "request_id"}}``, and the message — a full queue surfaces as
@@ -97,8 +95,7 @@ def _parse_error_body(raw: str, request_id: Optional[str]):
     """Extract ``(message, code, request_id)`` from an error body.
 
     Understands the uniform envelope ``{"error": {"code", "message",
-    "request_id"}}`` and, for compatibility with pre-``/v1`` servers,
-    the flat legacy shape ``{"error": "<message>"}``.
+    "request_id"}}``; any other body is the message itself.
     """
     try:
         parsed = json.loads(raw)
@@ -113,8 +110,6 @@ def _parse_error_body(raw: str, request_id: Optional[str]):
             err.get("code"),
             err.get("request_id") or request_id,
         )
-    if isinstance(err, str):
-        return err, None, parsed.get("request_id", request_id)
     return raw, None, request_id
 
 
@@ -134,11 +129,10 @@ class ServiceClient:
         Initial and maximum backoff between attempts; doubles per
         retry, and the server's ``Retry-After`` overrides the computed
         delay when present.
-    api_version:
-        Path prefix for every route, default ``"v1"``.  Pass ``""`` to
-        use the deprecated unversioned paths (e.g. against an old
-        server).
     """
+
+    #: path prefix of every route
+    api_version = "v1"
 
     def __init__(
         self,
@@ -148,7 +142,6 @@ class ServiceClient:
         retries: int = 4,
         backoff_s: float = 0.1,
         max_backoff_s: float = 2.0,
-        api_version: str = "v1",
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
@@ -157,7 +150,6 @@ class ServiceClient:
         self.retries = retries
         self.backoff_s = backoff_s
         self.max_backoff_s = max_backoff_s
-        self.api_version = api_version.strip("/")
         #: transient failures retried over this client's lifetime
         self.transport_retries = 0
         #: ``X-Request-Id`` of the most recent response (success or error)
@@ -165,15 +157,9 @@ class ServiceClient:
 
     # -- transport ----------------------------------------------------------
 
-    def _url_path(self, path: str) -> str:
-        """Mount a route under the configured API version prefix."""
-        if not self.api_version:
-            return path
-        return f"/{self.api_version}{path}"
-
     def _request_once(self, method: str, path: str, body: Optional[dict] = None,
                       trace: Optional[TraceContext] = None):
-        url = f"{self.base_url}{self._url_path(path)}"
+        url = f"{self.base_url}/{self.api_version}{path}"
         data = None
         headers = {"Accept": "application/json"}
         if trace is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultPlan
@@ -153,7 +154,7 @@ class TestFailureAggregation:
 
         ex = make_executor()
         with pytest.raises(_WorkerFailure) as exc:
-            ex._fork_map(boom, 8)
+            ex._agent_map("indexed", boom, range(8))
         message = str(exc.value)
         assert "task 0 failed" in message and "task 1 failed" in message
         ex.shutdown()
@@ -162,7 +163,7 @@ class TestFailureAggregation:
         plan = FaultPlan(seed=7, worker_kill=1.0, worker_fault_attempts=10)
         ex = make_executor(faults=plan, chunk_retries=1)
         with pytest.raises(_WorkerFailure) as exc:
-            ex._fork_map(lambda i: i, 6)
+            ex._agent_map("indexed", lambda i: i, range(6))
         message = str(exc.value)
         # 2 chunks × 2 attempts, every loss named, plus the budget note
         assert message.count("died without reporting") == 4
@@ -186,18 +187,17 @@ class TestFailureAggregation:
         ex.shutdown()
 
 
+class FakeMachine:
+    def __init__(self, i):
+        self.id = i
+        self.rng = np.random.default_rng(i)
+
+
 class TestMapMachinesRecovery:
     """Recovered map_machines batches keep the RNG/oracle replay exact
     (the end-to-end bit-identity proof lives in test_faults.py)."""
 
     def test_rng_replay_survives_chunk_retry(self):
-        import numpy as np
-
-        class FakeMachine:
-            def __init__(self, i):
-                self.id = i
-                self.rng = np.random.default_rng(i)
-
         def draw(mach):
             return float(mach.rng.random())
 

@@ -2,6 +2,9 @@
 bit-for-bit drop-in for serial — results, communication
 ledger, and oracle counters alike."""
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,18 @@ class TestBackendProtocolAndFactory:
     def test_factory_forwards_max_workers(self):
         assert get_executor("process", max_workers=3).max_workers == 3
 
+    def test_find_points_array(self):
+        """The dataset the agents are shipped: found through oracle
+        wrappers, absent for a metric without coordinates."""
+        from repro.metric.matrix_metric import MatrixMetric
+        from repro.mpc.wire import find_points_array
+
+        pts = np.random.default_rng(0).normal(size=(20, 3))
+        base = EuclideanMetric(pts)
+        assert find_points_array(CountingOracle(base)) is find_points_array(base)
+        assert np.array_equal(find_points_array(base), pts)
+        assert find_points_array(MatrixMetric(np.zeros((4, 4)))) is None
+
     def test_unknown_backend_error_lists_valid_names(self):
         """The error must name every valid backend, so a typo'd config
         is self-documenting."""
@@ -266,3 +281,102 @@ class TestProcessBitIdentical:
         )
         for m1, m2 in zip(c1.machines, c2.machines):
             assert m1.rng.random() == m2.rng.random()
+
+
+def _children() -> set:
+    """PIDs of this process's live children (Linux ``/proc``)."""
+    me, out = os.getpid(), set()
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            try:
+                with open(f"/proc/{name}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if int(fields[1]) == me and fields[0] != "Z":
+                out.add(int(name))
+    return out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to list children")
+class TestAgentLifecycle:
+    """The process backend's persistent local agents: started lazily,
+    replaced when they die, and never left behind."""
+
+    def agent_pids(self, ex) -> set:
+        pids = set(ex.map_indexed(lambda i: os.getpid(), 4))
+        assert len(pids) == 2 and os.getpid() not in pids
+        return pids
+
+    def test_build_and_shutdown_start_no_process(self):
+        from repro.api import build_cluster
+
+        before = _children()
+        cluster = build_cluster(np.random.default_rng(0).normal(size=(200, 2)),
+                                machines=4, backend="process", max_workers=2)
+        cluster.executor.shutdown()
+        assert cluster.executor._workers == []
+        assert _children() <= before
+
+    def test_no_agent_left_after_shutdown(self):
+        ex = ProcessExecutor(max_workers=2)
+        pids = self.agent_pids(ex)
+        assert pids <= _children()
+        ex.shutdown()
+        assert not pids & _children()
+        # the next parallel batch forks fresh agents
+        assert self.agent_pids(ex).isdisjoint(pids)
+        ex.shutdown()
+
+    def test_no_agent_left_after_garbage_collection(self):
+        ex = ProcessExecutor(max_workers=2)
+        pids = self.agent_pids(ex)
+        del ex
+        gc.collect()
+        assert not pids & _children()
+
+    def test_killed_agent_replaced_before_next_batch(self):
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(seed=3, worker_kill=1.0, worker_fault_attempts=1)
+        ex = ProcessExecutor(max_workers=2, faults=plan)
+        assert ex.map_indexed(lambda i: i * 5, 6) == [i * 5 for i in range(6)]
+        assert ex.recovery_stats()["chunk_retries"] == 2
+        ex.set_fault_plan(None)
+        self.agent_pids(ex)
+        assert ex.effective_workers() == 2
+        assert ex.recovery_stats()["serial_fallbacks"] == 0
+        ex.shutdown()
+
+    def test_agents_never_run_driver_atexit_handlers(self, tmp_path):
+        import subprocess
+        import sys
+
+        import repro
+
+        log = tmp_path / "atexit.log"
+        script = (
+            "import atexit, os, socket, sys\n"
+            "from repro.faults import FaultPlan\n"
+            "from repro.mpc.executor import ProcessExecutor\n"
+            "from repro.mpc.wire import send_msg\n"
+            "atexit.register(lambda: open(sys.argv[1], 'a').write(f'{os.getpid()}\\n'))\n"
+            # injected kills: the first agents leave through os._exit(1)
+            "plan = FaultPlan(seed=3, worker_kill=1.0, worker_fault_attempts=1)\n"
+            "ex = ProcessExecutor(max_workers=2, faults=plan)\n"
+            "assert ex.map_indexed(lambda i: i, 4) == [0, 1, 2, 3]\n"
+            # the replacements are told to shut down, and leave by themselves
+            "for agent in ex._workers:\n"
+            "    with socket.create_connection(agent.addr) as sock:\n"
+            "        send_msg(sock, {'op': 'shutdown'})\n"
+            "    assert os.waitpid(agent.pid, 0)[1] == 0\n"
+            "    agent.pid = 0\n"
+            "ex.shutdown()\n"
+            "print(os.getpid())\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, str(log)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert log.read_text().split() == [proc.stdout.strip()]

@@ -1,5 +1,5 @@
 """The versioned API surface: ``/v1`` routes, the uniform error
-envelope, legacy aliases, and ``GET /v1/jobs`` pagination."""
+envelope, 404 for unversioned paths, and ``GET /v1/jobs`` pagination."""
 
 from __future__ import annotations
 
@@ -66,28 +66,14 @@ class TestVersionedRoutes:
         assert "Deprecation" not in headers
 
 
-class TestLegacyAliases:
-    def test_legacy_path_still_answers_with_deprecation(self, server):
-        status, headers, body = _raw_get(f"{server.url}/healthz")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert '/v1/healthz' in headers.get("Link", "")
-        assert body["status"] in ("ok", "degraded")
-
-    def test_legacy_client_mode(self, server, points):
-        legacy = ServiceClient(server.url, timeout=30.0, api_version="")
-        ds = legacy.register_points(points)
-        job = legacy.submit(algorithm="kcenter", dataset=ds["id"], k=3)
-        assert legacy.wait(job["id"])["state"] == "done"
-
-    def test_legacy_warns_once_per_path(self, server):
-        _raw_get(f"{server.url}/healthz")
-        assert ("GET", "/healthz") in server._legacy_warned
-        before = len(server._legacy_warned)
-        _raw_get(f"{server.url}/healthz")
-        assert len(server._legacy_warned) == before  # no second entry
-        _raw_get(f"{server.url}/stats")
-        assert ("GET", "/stats") in server._legacy_warned
+class TestUnversionedPaths:
+    def test_unversioned_path_is_no_route(self, server):
+        for path in ("/healthz", "/jobs", "/stats"):
+            status, headers, body = _raw_get(f"{server.url}{path}")
+            assert status == 404
+            assert body["error"]["code"] == "no_route"
+            assert path in body["error"]["message"]
+            assert "Deprecation" not in headers
 
 
 class TestErrorEnvelope:
