@@ -261,6 +261,7 @@ class _ChunkedExecutor:
         self.chunk_retries_used = 0
         self.serial_fallbacks = 0
         # dispatch counters (reported by the remote backend)
+        self.local_fallbacks = 0
         self.dispatched_chunks = 0
         self.duplicate_results = 0
         self.datasets_shipped = 0
@@ -760,6 +761,7 @@ class ProcessExecutor(_ChunkedExecutor):
             agent.pid = 0  # reaped just now
         from repro.mpc.remote import run_local_agent  # remote imports this module
 
+        driver = os.getpid()
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
@@ -771,7 +773,7 @@ class ProcessExecutor(_ChunkedExecutor):
             code = 1
             try:
                 os.close(read_fd)
-                run_local_agent(write_fd, self._owner)
+                run_local_agent(write_fd, driver)
                 code = 0
             except BaseException:
                 traceback.print_exc()

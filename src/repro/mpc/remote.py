@@ -498,7 +498,6 @@ class RemoteExecutor(_ChunkedExecutor):
             )
         # remote-specific counters (superset of the ProcessExecutor set)
         self.redispatched_chunks = 0
-        self.local_fallbacks = 0
         self._pinged = False
         self._local: Optional[ProcessExecutor] = None
 

@@ -220,11 +220,11 @@ class SpanRecord:
 class ExecSpanRecord:
     """One executor chunk, timed inside the worker that computed it.
 
-    The driver derives the chunk's trace context *before* dispatching;
-    the worker agent — forked by the process backend, or remote (then
-    ``name`` is ``"remote/chunk"``); the context travels as a
-    ``traceparent`` header in the request frame — stamps ``start_time``/``end_time`` and ships the record
-    back with its results.  Merged into
+    The driver derives the chunk's trace context *before* dispatching
+    and sends it as a ``traceparent`` header in the request frame; the
+    worker agent — forked by the process backend, or remote (then
+    ``name`` is ``"remote/chunk"``) — stamps ``start_time``/``end_time``
+    and ships the record back with its results.  Merged into
     :attr:`~repro.obs.record.RunLog.exec_spans`, these are the
     "child spans under distinct pids" of the Chrome export — kept apart
     from the algorithm-phase :class:`SpanRecord` list so serial,

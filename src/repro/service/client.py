@@ -12,11 +12,11 @@ registers, submits, and waits::
     done = client.wait(job["id"])
     done["result"]["record"]["radius"]
 
-Requests go to the versioned API (``/v1/…``).  HTTP error responses raise :class:`ServiceError`
-carrying the status, the machine-readable error ``code`` from the
-server's uniform envelope ``{"error": {"code", "message",
-"request_id"}}``, and the message — a full queue surfaces as
-``ServiceError`` with ``code == "queue_full"``.
+Requests go to the versioned API (``/v1/…``).  HTTP error responses
+raise :class:`ServiceError` carrying the status, the machine-readable
+error ``code`` from the server's uniform envelope ``{"error": {"code",
+"message", "request_id"}}``, and the message — a full queue surfaces
+as ``ServiceError`` with ``code == "queue_full"``.
 
 The transport is fault-tolerant: transient failures — dropped or
 refused connections, and responses whose error *code* marks them
