@@ -96,6 +96,28 @@ class TestProcessExecutorDirect:
         assert ex.map_indexed(lambda i: i + offset, 6) == [1000 + i for i in range(6)]
         ex.shutdown()
 
+    def test_closure_over_locks_runs_on_agents(self):
+        # locks and thread-locals ship as fresh ones, as a fork copied
+        # them: the driver holding this lock must not block the agents
+        import threading
+
+        state = {"lock": threading.Lock(), "local": threading.local(), "offset": 7}
+        ex = ProcessExecutor(max_workers=2)
+        if ex.fallback_reason:
+            pytest.skip(ex.fallback_reason)
+
+        def task(i):
+            assert state["lock"].acquire(timeout=5), "the lock arrived locked"
+            state["lock"].release()
+            return i + state["offset"], os.getpid()
+
+        with state["lock"]:
+            out = ex.map_indexed(task, 4)
+        assert [v for v, _ in out] == [7, 8, 9, 10]
+        assert os.getpid() not in {pid for _, pid in out}
+        assert ex.recovery_stats()["serial_fallbacks"] == 0
+        ex.shutdown()
+
     def test_single_task_stays_in_driver(self):
         calls = []
         ex = ProcessExecutor(max_workers=4)
