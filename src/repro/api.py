@@ -47,8 +47,9 @@ delegates to them, so the two can never drift.
 
 from __future__ import annotations
 
+import contextlib
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -262,14 +263,14 @@ def solve_kcenter(
     append-grown dataset from a parent version's centers — see
     ``docs/streaming.md``.
     """
-    cluster = _resolve_cluster(
+    with _resolve_cluster(
         cluster, points, metric, machines, seed, partition, backend, limits, faults
-    )
-    return _observed_solve(
-        "kcenter", cluster,
-        lambda: mpc_kcenter(cluster, k, epsilon=eps, constants=constants,
-                            trim_mode=trim_mode, warm_start=warm_start),
-    )
+    ) as cluster:
+        return _observed_solve(
+            "kcenter", cluster,
+            lambda: mpc_kcenter(cluster, k, epsilon=eps, constants=constants,
+                                trim_mode=trim_mode, warm_start=warm_start),
+        )
 
 
 def solve_diversity(
@@ -294,14 +295,14 @@ def solve_diversity(
     ``warm_start=`` re-solves an append-grown dataset from a parent
     version's solution — see ``docs/streaming.md``.
     """
-    cluster = _resolve_cluster(
+    with _resolve_cluster(
         cluster, points, metric, machines, seed, partition, backend, limits, faults
-    )
-    return _observed_solve(
-        "diversity", cluster,
-        lambda: mpc_diversity(cluster, k, epsilon=eps, constants=constants,
-                              trim_mode=trim_mode, warm_start=warm_start),
-    )
+    ) as cluster:
+        return _observed_solve(
+            "diversity", cluster,
+            lambda: mpc_diversity(cluster, k, epsilon=eps, constants=constants,
+                                  trim_mode=trim_mode, warm_start=warm_start),
+        )
 
 
 def solve_ksupplier(
@@ -329,16 +330,17 @@ def solve_ksupplier(
     """
     if customers is None or suppliers is None:
         raise ValueError("solve_ksupplier needs customer and supplier id sets")
-    cluster = _resolve_cluster(
+    with _resolve_cluster(
         cluster, points, metric, machines, seed, partition, backend, limits, faults
-    )
-    return _observed_solve(
-        "ksupplier", cluster,
-        lambda: mpc_ksupplier(cluster, customers, suppliers, k, epsilon=eps,
-                              constants=constants, trim_mode=trim_mode),
-    )
+    ) as cluster:
+        return _observed_solve(
+            "ksupplier", cluster,
+            lambda: mpc_ksupplier(cluster, customers, suppliers, k, epsilon=eps,
+                                  constants=constants, trim_mode=trim_mode),
+        )
 
 
+@contextlib.contextmanager
 def _resolve_cluster(
     cluster: Optional[MPCCluster],
     points,
@@ -349,7 +351,10 @@ def _resolve_cluster(
     backend: Union[str, ExecutionBackend],
     limits: Optional[Limits],
     faults=None,
-) -> MPCCluster:
+) -> Iterator[MPCCluster]:
+    """The cluster to solve on: the caller's, or one built here whose
+    executor (it may hold local worker agents) is shut down afterwards
+    when the backend was given by name."""
     if cluster is not None:
         if points is not None or isinstance(metric, Metric):
             raise ValueError("pass either cluster= or points/metric, not both")
@@ -358,8 +363,9 @@ def _resolve_cluster(
                 "pass either cluster= or faults=, not both — give the plan "
                 "to build_cluster(faults=...) when pre-assembling"
             )
-        return cluster
-    return build_cluster(
+        yield cluster
+        return
+    cluster = build_cluster(
         points,
         metric=metric,
         machines=machines,
@@ -369,6 +375,11 @@ def _resolve_cluster(
         limits=limits,
         faults=faults,
     )
+    try:
+        yield cluster
+    finally:
+        if isinstance(backend, str):
+            cluster.executor.shutdown()
 
 
 def _baseline_solver(name: str, kind: str, run: Callable, doc: str):
@@ -403,28 +414,28 @@ def _baseline_solver(name: str, kind: str, run: Callable, doc: str):
         outliers: Optional[int] = None,
     ):
         del constants, trim_mode  # interface parity only; baselines have no knobs
-        cluster = _resolve_cluster(
+        with _resolve_cluster(
             cluster, points, metric, machines, seed, partition, backend, limits,
             faults,
-        )
-        rounds_before = cluster.stats.rounds
+        ) as cluster:
+            rounds_before = cluster.stats.rounds
 
-        def call():
-            ids, value = run(cluster, int(k), outliers)
-            rounds = cluster.stats.rounds - rounds_before
-            ids = np.asarray(ids, dtype=np.int64)
-            if kind == "kcenter":
-                return ClusteringResult(
-                    centers=ids, radius=float(value), k=int(k),
-                    epsilon=float(eps), tau=float(value),
+            def call():
+                ids, value = run(cluster, int(k), outliers)
+                rounds = cluster.stats.rounds - rounds_before
+                ids = np.asarray(ids, dtype=np.int64)
+                if kind == "kcenter":
+                    return ClusteringResult(
+                        centers=ids, radius=float(value), k=int(k),
+                        epsilon=float(eps), tau=float(value),
+                        coreset_value=float(value), rounds=rounds,
+                    )
+                return DiversityResult(
+                    ids=ids, diversity=float(value), k=int(k), epsilon=float(eps),
                     coreset_value=float(value), rounds=rounds,
                 )
-            return DiversityResult(
-                ids=ids, diversity=float(value), k=int(k), epsilon=float(eps),
-                coreset_value=float(value), rounds=rounds,
-            )
 
-        return _observed_solve(name, cluster, call)
+            return _observed_solve(name, cluster, call)
 
     solver.__name__ = f"solve_{name}"
     solver.__qualname__ = solver.__name__

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import secrets
 import signal
 import socket
 import sys
@@ -199,17 +200,31 @@ class _AgentState:
     """Driver-side record of one worker agent.  A local agent carries its
     pid and is labelled by its slot, not by its (ephemeral) port."""
 
-    __slots__ = ("addr", "label", "pid", "alive", "reason", "datasets", "dispatched", "lost")
+    __slots__ = ("addr", "label", "pid", "token", "alive", "reason", "datasets",
+                 "dispatched", "lost")
 
-    def __init__(self, addr: Tuple[str, int], label: str = "", pid: int = 0) -> None:
+    def __init__(self, addr: Tuple[str, int], label: str = "", pid: int = 0,
+                 token: bytes = b"") -> None:
         self.addr = addr
         self.label = label or f"{addr[0]}:{addr[1]}"
         self.pid = pid
+        #: shared secret a local agent reads before it unpickles anything
+        self.token = token
         self.alive = True
         self.reason = ""
         self.datasets: set = set()
         self.dispatched = 0
         self.lost = 0
+
+    def connect(self, timeout: Optional[float]) -> socket.socket:
+        """Open a request connection; the token, if any, goes first."""
+        sock = socket.create_connection(self.addr, timeout=timeout)
+        try:
+            sock.sendall(self.token)
+        except OSError:
+            sock.close()
+            raise
+        return sock
 
     def mark_dead(self, reason: str) -> None:
         """Record the agent as dead; a local agent is killed and reaped."""
@@ -429,15 +444,16 @@ class _ChunkedExecutor:
             self._dataset_located = True
             cluster = self._cluster()
             array = find_points_array(cluster.metric) if cluster is not None else None
-            self._dataset = None if array is None else (dataset_fingerprint(array), array)
+            self._dataset = None if array is None else (self._fingerprint(array), array)
         return self._dataset
+
+    def _fingerprint(self, array) -> str:
+        return dataset_fingerprint(array)
 
     def _ship_dataset(self, worker: _AgentState, dataset: Tuple[str, object]) -> None:
         """Ship the point matrix to one agent (once per fingerprint)."""
         fingerprint, array = dataset
-        with socket.create_connection(
-            worker.addr, timeout=self.connect_timeout_s
-        ) as conn:
+        with worker.connect(self.connect_timeout_s) as conn:
             conn.settimeout(self.chunk_timeout_s)
             send_msg(conn, {
                 "op": "put_dataset",
@@ -486,7 +502,7 @@ class _ChunkedExecutor:
         label = worker.label
         chunk_head = request["chunk"][:3]
         try:
-            sock = socket.create_connection(worker.addr, timeout=self.connect_timeout_s)
+            sock = worker.connect(self.connect_timeout_s)
         except OSError as exc:
             self._mark_dead(worker, f"connect failed: {exc}")
             return ("lost", f"worker {label} unreachable: {exc} (chunk {chunk_head}…)")
@@ -732,6 +748,11 @@ class ProcessExecutor(_ChunkedExecutor):
         #: *reports*, so bench artifacts record the surviving pool
         self.workers_lost = 0
         self._owner = os.getpid()
+        #: what a connection to one of this driver's agents must send
+        #: before the agent unpickles anything: the listening ports are
+        #: open to every local user
+        self._token = secrets.token_bytes(32)
+        self._datasets_located = 0
         weakref.finalize(self, _reap_agents, self._workers, self._owner)
 
     def _pool_stats(self) -> dict:
@@ -761,6 +782,9 @@ class ProcessExecutor(_ChunkedExecutor):
             agent.pid = 0  # reaped just now
         from repro.mpc.remote import run_local_agent  # remote imports this module
 
+        # the agent inherits the point matrix: seeded, it shares the
+        # driver's copy-on-write pages instead of being shipped a copy
+        dataset = self._bound_dataset()
         driver = os.getpid()
         read_fd, write_fd = os.pipe()
         try:
@@ -773,7 +797,7 @@ class ProcessExecutor(_ChunkedExecutor):
             code = 1
             try:
                 os.close(read_fd)
-                run_local_agent(write_fd, driver)
+                run_local_agent(write_fd, driver, self._token, dataset)
                 code = 0
             except BaseException:
                 traceback.print_exc()
@@ -784,7 +808,10 @@ class ProcessExecutor(_ChunkedExecutor):
             port = os.read(read_fd, 16)
         finally:
             os.close(read_fd)
-        agent = _AgentState(("127.0.0.1", int(port or 0)), label=str(slot), pid=pid)
+        agent = _AgentState(("127.0.0.1", int(port or 0)), label=str(slot), pid=pid,
+                            token=self._token)
+        if dataset is not None:
+            agent.datasets.add(dataset[0])
         self._workers[slot:slot + 1] = [agent]
         if not port:
             agent.mark_dead("exited before listening")
@@ -793,6 +820,13 @@ class ProcessExecutor(_ChunkedExecutor):
 
     def _wave_workers(self, pending, attempt: int) -> List[_AgentState]:
         return [self._agent(widx) for widx, _chunk in pending]
+
+    def _fingerprint(self, array) -> str:
+        # an agent is forked holding the array (or is shipped it), so a
+        # name unique within this driver will do: no hash pass over it
+        if self._dataset is None or self._dataset[1] is not array:
+            self._datasets_located += 1
+        return f"local-{self._datasets_located}"
 
     def _connection_lost(self, worker: _AgentState, exc: Exception) -> str:
         # a local agent drops a chunk's connection only by dying

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import hmac
 import os
 import pickle
 import signal
@@ -71,7 +72,14 @@ from repro.mpc.executor import (
     pack_machine,
     workers_from_env,
 )
-from repro.mpc.wire import ProtocolError, _DatasetMiss, loads_task, recv_msg, send_msg
+from repro.mpc.wire import (
+    ProtocolError,
+    _DatasetMiss,
+    _recv_exact,
+    loads_task,
+    recv_msg,
+    send_msg,
+)
 from repro.obs.logging import get_logger
 from repro.obs.tracing import TraceContext
 
@@ -79,6 +87,9 @@ _log = get_logger("repro.mpc.remote")
 
 #: environment variable listing default remote worker addresses
 REMOTE_WORKERS_ENV_VAR = "REPRO_REMOTE_WORKERS"
+
+#: how long a local agent waits for a connection's token
+_AUTH_TIMEOUT_S = 5.0
 
 
 def parse_worker_addresses(spec, *, allow_zero_port: bool = False) -> List[Tuple[str, int]]:
@@ -148,6 +159,8 @@ class WorkerAgent:
                                                    {"ok": False, "need_dataset"}
         {"op": "shutdown"}                      -> {"ok": True}
 
+    On a local agent each connection first sends the driver's secret as
+    raw bytes; a connection that does not is closed unread.
     While a chunk runs, the handler emits ``{"hb": n}`` frames every
     ``heartbeat_s`` seconds; each one renews the driver's lease.
     Injected faults (decided by the driver's seeded
@@ -176,6 +189,8 @@ class WorkerAgent:
         #: ``os._exit``.  In-process agents simulate death by refusing
         #: all further connections instead.
         self.allow_exit = allow_exit
+        #: set on a local agent: every connection must open with it
+        self._token = b""
         self._datasets: dict[str, np.ndarray] = {}
         self._slots_sem = threading.BoundedSemaphore(self.slots)
         self._sock: Optional[socket.socket] = None
@@ -265,6 +280,8 @@ class WorkerAgent:
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
             with conn:
+                if self._token and not self._authenticated(conn):
+                    return
                 try:
                     request = recv_msg(conn)
                 except ProtocolError as exc:
@@ -279,6 +296,21 @@ class WorkerAgent:
                 self._handle(conn, request)
         except (OSError, ProtocolError):  # peer went away mid-reply
             pass
+
+    def _authenticated(self, conn: socket.socket) -> bool:
+        """Read the connection's first bytes as raw bytes, not as a
+        frame, and compare them with the token before anything is
+        unpickled."""
+        conn.settimeout(_AUTH_TIMEOUT_S)
+        try:
+            ok = hmac.compare_digest(_recv_exact(conn, len(self._token)), self._token)
+        except (OSError, ProtocolError):
+            ok = False
+        conn.settimeout(None)
+        if not ok:
+            _log.warning("worker refused a connection without its token",
+                         extra={"address": self.address})
+        return ok
 
     def _handle(self, conn: socket.socket, request: dict) -> None:
         op = request.get("op")
@@ -393,16 +425,21 @@ def _detach_inherited_fds(keep: int) -> None:
     os.close(null)
 
 
-def run_local_agent(report_fd: int, driver: int) -> None:
+def run_local_agent(report_fd: int, driver: int, token: bytes, dataset) -> None:
     """Body of a local agent forked by
     :class:`~repro.mpc.executor.ProcessExecutor`: serve one task slot on
-    an ephemeral 127.0.0.1 port, report the port on ``report_fd``, and
-    return once shut down or once ``driver`` is no longer the parent."""
+    an ephemeral 127.0.0.1 port to connections that open with ``token``,
+    with ``dataset`` (``(fingerprint, array)`` or ``None``) already
+    cached; report the port on ``report_fd``, and return once shut down
+    or once ``driver`` is no longer the parent."""
     _detach_inherited_fds(keep=report_fd)
     # the inherited heap stays shared: the collector never touches it
     gc.freeze()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the driver's
     agent = WorkerAgent(slots=1, allow_exit=True)
+    agent._token = token
+    if dataset is not None:
+        agent._datasets[dataset[0]] = dataset[1]
     _host, port = agent.start()
     os.write(report_fd, str(port).encode())
     os.close(report_fd)
@@ -462,6 +499,7 @@ class RemoteExecutor(_ChunkedExecutor):
     """
 
     fault_layer = "remote"
+    span_name = "remote/chunk"
 
     def __init__(
         self,
@@ -522,9 +560,7 @@ class RemoteExecutor(_ChunkedExecutor):
             if not worker.alive:
                 continue
             try:
-                with socket.create_connection(
-                    worker.addr, timeout=self.connect_timeout_s
-                ) as sock:
+                with worker.connect(self.connect_timeout_s) as sock:
                     send_msg(sock, {"op": "shutdown"})
                     sock.settimeout(self.connect_timeout_s)
                     recv_msg(sock)
@@ -611,9 +647,7 @@ class RemoteExecutor(_ChunkedExecutor):
         expected = tuple(sys.version_info[:2])
         for worker in self._workers:
             try:
-                with socket.create_connection(
-                    worker.addr, timeout=self.connect_timeout_s
-                ) as sock:
+                with worker.connect(self.connect_timeout_s) as sock:
                     sock.settimeout(self.lease_s)
                     send_msg(sock, {"op": "ping"})
                     reply = recv_msg(sock)

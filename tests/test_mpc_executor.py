@@ -305,6 +305,16 @@ class TestProcessBitIdentical:
             assert m1.rng.random() == m2.rng.random()
 
 
+class _Touch:
+    """Creates a file when unpickled."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
 def _children() -> set:
     """PIDs of this process's live children (Linux ``/proc``)."""
     me, out = os.getpid(), set()
@@ -378,7 +388,7 @@ class TestAgentLifecycle:
 
         log = tmp_path / "atexit.log"
         script = (
-            "import atexit, os, socket, sys\n"
+            "import atexit, os, sys\n"
             "from repro.faults import FaultPlan\n"
             "from repro.mpc.executor import ProcessExecutor\n"
             "from repro.mpc.wire import send_msg\n"
@@ -389,7 +399,7 @@ class TestAgentLifecycle:
             "assert ex.map_indexed(lambda i: i, 4) == [0, 1, 2, 3]\n"
             # the replacements are told to shut down, and leave by themselves
             "for agent in ex._workers:\n"
-            "    with socket.create_connection(agent.addr) as sock:\n"
+            "    with agent.connect(None) as sock:\n"
             "        send_msg(sock, {'op': 'shutdown'})\n"
             "    assert os.waitpid(agent.pid, 0)[1] == 0\n"
             "    agent.pid = 0\n"
@@ -402,3 +412,54 @@ class TestAgentLifecycle:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert log.read_text().split() == [proc.stdout.strip()]
+
+    def test_connection_without_token_is_refused(self, tmp_path):
+        import socket
+
+        from repro.mpc.wire import ProtocolError, recv_msg, send_msg
+
+        ex = ProcessExecutor(max_workers=2)
+        self.agent_pids(ex)
+        agent = ex._workers[0]
+        marker = tmp_path / "unpickled"
+        for prefix in (b"", b"\0" * len(agent.token)):
+            with socket.create_connection(agent.addr, timeout=10) as sock:
+                sock.sendall(prefix)
+                send_msg(sock, {"op": "ping", "probe": _Touch(str(marker))})
+                with pytest.raises((ProtocolError, OSError)):
+                    recv_msg(sock)
+        assert not marker.exists()
+        with agent.connect(10) as sock:  # the same agent answers its driver
+            send_msg(sock, {"op": "ping"})
+            assert recv_msg(sock)["ok"]
+        ex.shutdown()
+
+    def test_agents_are_seeded_with_the_dataset(self, rng):
+        from repro.api import build_cluster, solve_kcenter
+
+        cluster = build_cluster(rng.normal(size=(300, 2)), machines=4, seed=1,
+                                backend="process", max_workers=2)
+        solve_kcenter(k=4, cluster=cluster)
+        ex = cluster.executor
+        assert ex.dispatched_chunks > 0 and ex.datasets_shipped == 0
+        ex.shutdown()
+
+    def test_facade_solves_leave_no_agent(self, rng, monkeypatch):
+        from repro.api import solve_diversity, solve_kcenter
+
+        forks = []
+        spawn = ProcessExecutor._agent
+        monkeypatch.setattr(ProcessExecutor, "_agent",
+                            lambda ex, slot: forks.append(slot) or spawn(ex, slot))
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        pts = rng.normal(size=(300, 2))
+        before = _children()
+        gc.disable()  # only the facade may reap, not a collection
+        try:
+            for seed in range(3):
+                solve_kcenter(pts, k=4, machines=4, seed=seed, backend="process")
+                solve_diversity(pts, k=4, machines=4, seed=seed, backend="process")
+            assert forks
+            assert _children() <= before
+        finally:
+            gc.enable()

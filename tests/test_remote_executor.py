@@ -182,6 +182,29 @@ class TestBitIdentity:
         assert ex.fallback_reason is not None
 
 
+class TestObservability:
+    def test_chunks_emit_remote_spans_and_metric(self, points, agents):
+        from repro.obs import Observer
+        from repro.obs.metrics import MetricsObserver, MetricsRegistry
+
+        names = []
+
+        class Spans(Observer):
+            def on_exec_span(self, span):
+                names.append(span.name)
+
+        _pool, addrs = agents
+        registry = MetricsRegistry()
+        executor = RemoteExecutor(addrs)
+        cluster = MPCCluster(EuclideanMetric(points), 4, seed=7, executor=executor)
+        cluster.obs.add(MetricsObserver(registry))
+        cluster.obs.add(Spans())
+        solve_kcenter(k=4, eps=0.3, cluster=cluster)
+        executor.shutdown()
+        assert names and set(names) == {"remote/chunk"}
+        assert registry.counter("repro_remote_chunks_total").value == len(names)
+
+
 class TestProtocolEdges:
     def test_truncated_frame_raises_protocol_error(self, agents):
         pool, addrs = agents
